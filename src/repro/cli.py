@@ -1008,10 +1008,12 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     from .engine import ReadService
     from .migrate import (
         MigrationCrash,
+        MigrationError,
         MigrationJournal,
         Migrator,
         resume_migration,
     )
+    from .migrate.transfer import open_journal
 
     journal = MigrationJournal(args.journal)
 
@@ -1091,9 +1093,10 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     if not journal.exists():
         print(f"no journal at {journal.path}", file=sys.stderr)
         return 2
-    state = journal.load()
-    if not state.started:
-        print(f"journal {journal.path} has no plan record", file=sys.stderr)
+    try:
+        _, state = open_journal(journal, "migration", MigrationError)
+    except MigrationError as err:
+        print(err, file=sys.stderr)
         return 2
     ctx = state.context
     bs, data, rng = _seeded_migration_store(

@@ -12,16 +12,15 @@ its stripe-location table, not the shard map, so a stripe serves from its
 old shard until the instant its location entry flips — there is no window
 where a read can chase a stripe that has not arrived yet.
 
-Crash safety reuses the migration write-ahead journal
-(:class:`repro.migrate.MigrationJournal`) with the same WAL discipline —
-stage (payloads into the journal), apply (append on the target shard),
-commit — one window per moved stripe.  A crash between stage and commit
-leaves at most one pending window; :meth:`~repro.cluster.service.
-ClusterService.resume_rebalance` re-applies it from the staged payloads
-(skipping the append if the location entry already flipped) and carries
-on with the remaining moves.  The source copy of a moved stripe is never
-deleted (shard stores are append-only); it is tracked as garbage rows,
-the cluster's compaction debt.
+Crash safety comes from the :mod:`~repro.migrate.transfer` executor,
+one window per moved stripe; this module adds its hooks.  The apply
+skips the append if the stripe's location entry already flipped (a crash
+between apply and commit), since re-appending would duplicate the
+stripe.  A single checkpoint record closes the run.
+:meth:`~repro.cluster.service.ClusterService.resume_rebalance` replays
+the pending window and carries on with the remaining moves.  The source
+copy of a moved stripe is never deleted (shard stores are append-only);
+it is tracked as garbage rows, the cluster's compaction debt.
 
 Shard *failure* recovery rides the exact same mover: draining a failing
 shard (:meth:`~repro.cluster.service.ClusterService.fail_shard`) is a
@@ -29,14 +28,17 @@ rebalance whose target map is :meth:`~repro.cluster.shardmap.ShardMap.
 without_shard` — the moved set is the failed shard's stripes, the WAL
 windows are identical, and ``verify=True`` additionally reads every
 landed stripe back from its new shard and byte-compares it against the
-moved payloads (scrub-on-land), so recovery is verified end to end and
-each survivor's recovery *reads* are accounted on its own disks.
+moved payloads before its window commits (scrub-on-land), so recovery is
+verified end to end and each survivor's recovery *reads* are accounted
+on its own disks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from ..migrate.transfer import STAGE, TransferCrash, WindowedTransfer
 
 if TYPE_CHECKING:  # pragma: no cover - layering: service imports this module
     from ..migrate.journal import MigrationJournal, PendingStage
@@ -51,8 +53,8 @@ __all__ = [
 ]
 
 
-class RebalanceCrash(RuntimeError):
-    """Simulated crash during a rebalance (test/demo hook)."""
+#: a simulated crash of a rebalance or drain (the executor's one crash type).
+RebalanceCrash = TransferCrash
 
 
 class RecoveryVerifyError(RuntimeError):
@@ -126,6 +128,45 @@ class ShardRecoveryReport:
         return max(self.spread.values()) - min(self.spread.values())
 
 
+class _StripeMoves(WindowedTransfer):
+    """Window ``w`` moves stripe ``moved[w]`` to its shard under the
+    cluster's current map."""
+
+    def __init__(self, cluster, moved, journal, windows, crash_at, verify):
+        super().__init__(
+            journal,
+            crash_after=None if crash_at is None else STAGE,
+            crash_at_window=max(crash_at or 0, 0),
+        )
+        self.cluster = cluster
+        self.moved = moved
+        self.order = windows
+        self.verify = verify
+
+    def _window_rows(self, window: int) -> list[int]:
+        return [self.moved[window]]
+
+    def _fetch(self, window: int, rows) -> list[list[bytes]]:
+        sid, row = self.cluster.locate_stripe(rows[0])
+        return [self.cluster.volumes[sid].store.fetch_row_data(row)]
+
+    def _apply_row(self, stripe: int, data_elems) -> None:
+        cluster = self.cluster
+        target = cluster.map.shard_of(stripe)
+        # a replayed window may have landed before the crash: the flipped
+        # location entry says so, and re-appending would duplicate it
+        if cluster.locate_stripe(stripe)[0] != target:
+            cluster.apply_move(stripe, target, data_elems)
+        if self.verify:
+            sid_now, row_now = cluster.locate_stripe(stripe)
+            landed = cluster.volumes[sid_now].store.fetch_row_data(row_now)
+            if landed != list(data_elems):
+                raise RecoveryVerifyError(
+                    f"stripe {stripe}: read-back on shard {sid_now} diverged "
+                    "from the moved payloads"
+                )
+
+
 def run_rebalance(
     cluster: "ClusterService",
     moved: list[int],
@@ -148,39 +189,13 @@ def run_rebalance(
     payloads before its window commits.
     """
     committed = committed or set()
-    done = 0
-    for w, g in enumerate(moved):
-        if w in committed:
-            continue
-        sid_old, row_old = cluster.locate_stripe(g)
-        target = cluster.map.shard_of(g)
+    windows = [w for w in range(len(moved)) if w not in committed]
+    mover = _StripeMoves(cluster, moved, journal, windows, crash_after_moves, verify)
+    for w in windows:
         if pending is not None and pending.window == w:
-            data_elems = list(pending.payloads[0])
+            mover.replay(pending)
         else:
-            data_elems = cluster.volumes[sid_old].store.fetch_row_data(row_old)
-            if journal is not None:
-                journal.write_stage(w, [g], [data_elems])
-        if crash_after_moves is not None and done >= crash_after_moves:
-            raise RebalanceCrash(
-                f"simulated crash after staging window {w} "
-                f"({done} moves committed)"
-            )
-        if sid_old != target:
-            # normal path; on resume the apply may already have happened
-            # (crash between apply and commit) — the flipped location
-            # entry tells us, and re-appending would duplicate the stripe.
-            cluster.apply_move(g, target, data_elems)
-        if verify:
-            sid_now, row_now = cluster.locate_stripe(g)
-            landed = cluster.volumes[sid_now].store.fetch_row_data(row_now)
-            if landed != list(data_elems):
-                raise RecoveryVerifyError(
-                    f"stripe {g}: read-back on shard {sid_now} diverged "
-                    "from the moved payloads"
-                )
-        if journal is not None:
-            journal.write_commit(w)
-        done += 1
+            mover.run_window(w)
     if journal is not None:
         journal.write_checkpoint(
             {
@@ -189,4 +204,4 @@ def run_rebalance(
                 "stripes_total": cluster.stripes_written,
             }
         )
-    return done
+    return len(mover.done)

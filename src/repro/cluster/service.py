@@ -24,7 +24,6 @@ the migration journal providing crash safety.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -34,6 +33,7 @@ from ..codes.base import ErasureCode
 from ..disks.model import DiskModel
 from ..disks.presets import SAVVIO_10K3
 from ..engine.service import BatchReadResult, ReadService
+from ..migrate.transfer import open_journal
 from ..net import Topology, TransferSummary
 from ..obs import NULL_TRACER, Histogram, MetricsRegistry, Tracer
 from ..store.blockstore import BlockStore
@@ -1093,27 +1093,9 @@ class ClusterService:
         if self.orchestrators:
             # the recovery plane covers new shards from their first tick
             self.orchestrators.append(self._new_orchestrator(self.volumes[-1]))
-        self.map = new_map
-        moved = [
-            g
-            for g in range(len(self._locations))
-            if new_map.shard_of(g) != old_map.shard_of(g)
-        ]
-        if journal is not None:
-            journal.write_plan(
-                {
-                    "kind": "cluster-rebalance",
-                    "map": new_map.name,
-                    "from_shards": old_map.num_shards,
-                    "to_shards": new_map.num_shards,
-                    "stripes": len(self._locations),
-                    "windows": len(moved),
-                    "moved": moved,
-                    "element_size": self.element_size,
-                }
-            )
-        committed = run_rebalance(
-            self, moved, journal, crash_after_moves=crash_after_moves
+        moved, committed = self._move_to(
+            new_map, "cluster-rebalance", journal, crash_after_moves,
+            verify=False, from_shards=old_map.num_shards,
         )
         self.counters.rebalances += 1
         return RebalanceReport(
@@ -1132,24 +1114,8 @@ class ClusterService:
         committed, if the crash hit between apply and commit — and the
         remaining moves run normally.
         """
-        state = journal.load()
-        ctx = state.context or {}
-        if ctx.get("kind") != "cluster-rebalance":
-            hint = (
-                "; use resume_recovery for a shard-failure drain journal"
-                if ctx.get("kind") == "cluster-recovery"
-                else ""
-            )
-            raise ValueError(
-                f"journal {journal.path} is not a cluster-rebalance journal"
-                f"{hint}"
-            )
-        if ctx["to_shards"] != self.map.num_shards:
-            raise ValueError(
-                f"journal expects {ctx['to_shards']} shards, cluster has "
-                f"{self.map.num_shards}"
-            )
-        moved = list(ctx["moved"])
+        journal, state = self._open_moves(journal, "cluster-rebalance")
+        moved = list(state.context["moved"])
         committed = run_rebalance(
             self,
             moved,
@@ -1204,34 +1170,11 @@ class ClusterService:
             raise ValueError(
                 f"shard {failed} out of range [0, {len(self.volumes)})"
             )
-        old_map = self.map
-        new_map = old_map.without_shard(failed)  # validates failed/last-live
-        self.map = new_map
-        moved = [
-            g
-            for g in range(len(self._locations))
-            if new_map.shard_of(g) != old_map.shard_of(g)
-        ]
+        new_map = self.map.without_shard(failed)  # validates failed/last-live
         busy_before = self._busy_per_shard()
-        if journal is not None:
-            journal.write_plan(
-                {
-                    "kind": "cluster-recovery",
-                    "map": new_map.name,
-                    "failed_shard": failed,
-                    "to_shards": new_map.num_shards,
-                    "stripes": len(self._locations),
-                    "windows": len(moved),
-                    "moved": moved,
-                    "element_size": self.element_size,
-                }
-            )
-        committed = run_rebalance(
-            self,
-            moved,
-            journal,
-            crash_after_moves=crash_after_moves,
-            verify=True,
+        moved, committed = self._move_to(
+            new_map, "cluster-recovery", journal, crash_after_moves,
+            verify=True, failed_shard=failed,
         )
         self.counters.recoveries += 1
         return self._recovery_report(
@@ -1249,17 +1192,8 @@ class ClusterService:
         timing fields cover the resumed portion only; its ``spread``
         covers the whole recovery.
         """
-        state = journal.load()
-        ctx = state.context or {}
-        if ctx.get("kind") != "cluster-recovery":
-            raise ValueError(
-                f"journal {journal.path} is not a cluster-recovery journal"
-            )
-        if ctx["to_shards"] != self.map.num_shards:
-            raise ValueError(
-                f"journal expects {ctx['to_shards']} shards, cluster has "
-                f"{self.map.num_shards}"
-            )
+        journal, state = self._open_moves(journal, "cluster-recovery")
+        ctx = state.context
         failed = ctx["failed_shard"]
         if failed not in self.map.excluded:
             raise ValueError(
@@ -1280,6 +1214,47 @@ class ClusterService:
         return self._recovery_report(
             failed, moved, committed, busy_before, resumed=True
         )
+
+    def _move_to(
+        self, new_map: ShardMap, kind: str, journal, crash_after_moves, *,
+        verify: bool, **plan: int,
+    ) -> tuple[list[int], int]:
+        """Swap in ``new_map`` and move every stripe it relocates, under a
+        ``kind`` plan record; returns the moved stripes and the windows
+        committed."""
+        old_map, self.map = self.map, new_map
+        moved = [
+            g
+            for g in range(len(self._locations))
+            if new_map.shard_of(g) != old_map.shard_of(g)
+        ]
+        if journal is not None:
+            journal.write_plan(
+                {
+                    "kind": kind,
+                    "map": new_map.name,
+                    **plan,
+                    "to_shards": new_map.num_shards,
+                    "stripes": len(self._locations),
+                    "windows": len(moved),
+                    "moved": moved,
+                    "element_size": self.element_size,
+                }
+            )
+        committed = run_rebalance(
+            self, moved, journal, crash_after_moves=crash_after_moves, verify=verify
+        )
+        return moved, committed
+
+    def _open_moves(self, journal: "MigrationJournal", kind: str):
+        """Open a ``kind`` journal for a resume on this cluster's map."""
+        journal, state = open_journal(journal, kind, ValueError)
+        if state.context["to_shards"] != self.map.num_shards:
+            raise ValueError(
+                f"journal expects {state.context['to_shards']} shards, "
+                f"cluster has {self.map.num_shards}"
+            )
+        return journal, state
 
     def _busy_per_shard(self) -> dict[int, float]:
         """Summed disk busy time per shard, for recovery makespans."""
@@ -1368,23 +1343,6 @@ class ClusterService:
             "disk_busy_mean_s": mean,
             "imbalance": (peak / mean) if mean > 0 else 0.0,
         }
-
-    def stats_snapshot(self) -> dict:
-        """Deprecated alias for the ``cluster.*`` namespace dict.
-
-        .. deprecated:: 1.4
-           Use :meth:`metrics` — the rolled-up, versioned snapshot with
-           ``cluster. / cache. / recovery. / service.`` namespaces —
-           or ``metrics()["cluster"]`` for exactly this dict.  Removed
-           after one release, per the repo's deprecation policy.
-        """
-        warnings.warn(
-            "ClusterService.stats_snapshot() is deprecated; use "
-            "metrics()['cluster'] (the rolled-up namespaced snapshot)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._cluster_snapshot()
 
     def _cluster_snapshot(self) -> dict:
         """The ``cluster.*`` namespace: frontend counters, the rolled-up
@@ -1489,8 +1447,7 @@ class ClusterService:
         (cluster-wide recovery plane), ``service.*`` (summed per-shard
         read services, plus ``service.pipeline.*`` once an open-loop run
         has registered) — and anything else registered into
-        :attr:`registry`.  This is the single metrics entry point;
-        :meth:`stats_snapshot` is its deprecated predecessor."""
+        :attr:`registry`.  This is the single metrics entry point."""
         return self.registry.snapshot()
 
     def shard_metrics(self, shard: int) -> dict:

@@ -8,11 +8,13 @@ that already holds data, without taking reads offline:
   Lemma-1-verified before a single byte moves;
 * :mod:`~repro.migrate.router` — a dual-layout placement that resolves
   every element to its current physical address mid-migration;
-* :mod:`~repro.migrate.journal` — write-ahead move records + checkpoints
-  for crash-safe resume;
-* :mod:`~repro.migrate.mover` — the throttled background engine driving
-  stage → apply → commit per window, charged to disk stats like any
-  other I/O.
+* :mod:`~repro.migrate.journal` — the write-ahead log's record format
+  (plan, stage, commit, checkpoint);
+* :mod:`~repro.migrate.transfer` — the windowed-transfer executor: the
+  one stage → apply → commit loop, its crash points and its replay,
+  shared with disk rebuild, cluster rebalance and shard drain;
+* :mod:`~repro.migrate.mover` — the migrator's hooks on that executor:
+  routing flips, plan-cache invalidation and Lemma-1 checkpoints.
 
 Typical use::
 

@@ -1,29 +1,23 @@
-"""Crash-safe migration journal: write-ahead move records + checkpoints.
+"""The write-ahead journal: record format, durable appends and replay.
 
-The mover's durability contract is the classic WAL discipline:
-
-1. **stage** — before touching any physical slot of a window, the window's
-   verified *data* payloads are appended to the journal (parity is not
-   journaled: it is re-encoded from data at apply time, deterministically
-   and placement-independently, so the bytes are identical);
-2. **apply** — the window's elements are rewritten at their target-layout
-   addresses (in place, safe by the plan's slot-band closure);
-3. **commit** — a commit record marks the window durable in the target
-   form.
-
-A crash between (1) and (3) leaves the window's slot band in a mixed
-layout, but the staged payloads make replay trivial: re-apply every write
-from the journal (idempotent — rewriting a slot simply refreshes its
-content and checksum) and commit.  A crash before (1) loses nothing; a
-crash after (3) needs no replay.  :meth:`MigrationJournal.load` tolerates
-a torn final line (the crash happened mid-append) by discarding it, which
-the WAL ordering makes safe: a torn *stage* record means no slot of that
-window was touched yet.
+Every windowed transfer (migration, disk rebuild, cluster rebalance and
+shard drain) journals through :class:`MigrationJournal`; the stage →
+apply → commit discipline that orders the records is described once, in
+:mod:`repro.migrate.transfer`.  This module owns the format.
 
 Records are JSONL — one JSON object per line, ``type`` field dispatching
-— with payloads base64-encoded.  The first record is always ``plan``,
-carrying enough context (forms, rows, element size, code params, seed) for
-the CLI to rebuild the store and resume without any other state.
+— with payloads base64-encoded:
+
+* ``plan`` — always the first record, carrying enough context (forms,
+  rows, element size, code params, seed, and ``kind`` for every kind but
+  migration) to rebuild the store and resume without any other state;
+* ``stage`` — one window's rows and payloads, written before any slot
+  of the window is touched;
+* ``commit`` — the window is durable at its destination;
+* ``checkpoint`` — a progress/invariant record.
+
+Appends are fsynced per record.  :meth:`MigrationJournal.load` tolerates
+a torn final line (the crash happened mid-append) by discarding it.
 """
 
 from __future__ import annotations

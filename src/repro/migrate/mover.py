@@ -1,41 +1,34 @@
-"""Throttled, crash-safe background mover: the migration engine proper.
+"""The migration engine: :class:`Migrator` and :func:`resume_migration`.
 
 :class:`Migrator` converts a live :class:`~repro.store.blockstore.
 BlockStore` from its current placement to a target placement window by
-window, while the store keeps serving byte-correct reads:
+window, while the store keeps serving byte-correct reads.  It runs on
+the :mod:`~repro.migrate.transfer` executor and adds these hooks:
 
-* the store's placement is swapped to a :class:`~repro.migrate.router.
-  MigrationRouter` up front, so every read resolves each element's
-  *current* physical address;
-* each window follows the WAL discipline of :mod:`repro.migrate.journal`
-  — stage (verified data payloads, repairing any faulted elements on the
-  way), apply (re-encode parity, rewrite at target addresses), commit;
-* window applies are atomic with respect to foreground reads: reads
-  interleave *between* :meth:`Migrator.step` calls, never inside one —
-  the same contract a real system gets from blocking reads to an
-  in-flight extent.  After a crash, :func:`resume_migration` replays the
-  pending window from the journal *before* returning the handle, so no
-  read can observe a half-rewritten window (WAL recovery runs at mount
-  time, ahead of I/O);
-* after each commit, plan-cache entries covering the window's elements
-  are dropped (:meth:`~repro.engine.plancache.PlanCache.
-  invalidate_elements`): the rewritten slots carry fresh checksums, so a
-  stale plan would fetch bytes that *pass* verification yet belong to a
-  different element — invalidation is a correctness requirement here,
-  not an optimization;
-* throttling is a token bucket over physical element operations: each
-  step deposits ``budget_per_step`` tokens and a window only runs once
-  the bucket covers its cost (``rows × (k reads + n writes)``), else the
-  step records a throttle stall and yields.  All I/O flows through
-  ``DiskArray.execute_batch`` / ``write_slot``, so migration work is
-  charged to :class:`~repro.disks.disk.DiskStats` and ticks the
-  :class:`~repro.faults.FaultInjector` clock exactly like foreground
-  traffic.
+* **routing** — the store's placement is swapped to a
+  :class:`~repro.migrate.router.MigrationRouter` up front, so every read
+  resolves each element's *current* physical address, and each commit
+  flips its window to the target side.  Reads interleave *between*
+  :meth:`Migrator.step` calls, never inside one, so a window apply is
+  atomic to them;
+* **apply** — the fetch reads verified data payloads through the
+  router's source side; the apply re-encodes parity from them
+  (deterministic, so parity is not journaled) and rewrites all ``n``
+  elements of each row at their target addresses;
+* **cache** — each commit drops the plan-cache entries covering the
+  window: the rewritten slots carry fresh checksums, so a stale plan
+  would fetch bytes that *pass* verification yet belong to a different
+  element;
+* **checkpoints** — every ``checkpoint_every`` commits, and after the
+  last, a checkpoint record journals the Lemma-1 invariant checked
+  under the current routing.
 
-Crash testing hooks: ``crash_after`` raises :class:`MigrationCrash` at a
-chosen WAL stage of ``crash_at_window`` — after staging (no slot
-touched), mid-apply (mixed-layout band), or after the commit record
-(router/cache state lost) — covering all three recovery cases.
+``budget_per_step`` builds a :class:`~repro.recovery.throttle.
+RepairThrottle`; a window costs ``rows × (k reads + n writes)`` element
+operations.  All I/O flows through ``DiskArray.execute_batch`` /
+``write_slot``, so migration work is charged to disk stats and ticks the
+fault-injector clock like foreground traffic.  The crash points are
+``"stage"``, ``"mid-write"`` and ``"commit"``.
 """
 
 from __future__ import annotations
@@ -45,25 +38,22 @@ import numpy as np
 from ..engine.plancache import PlanCache
 from ..layout import Placement, make_placement
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
-from .journal import MigrationJournal, PendingStage
+from ..recovery.throttle import RepairThrottle
+from .journal import MigrationJournal
 from .plan import MigrationPlan, plan_migration
 from .router import MigrationError, MigrationRouter
+from .transfer import COMMIT, STAGE, TransferCrash, WindowedTransfer, open_journal
 
 __all__ = ["MigrationCrash", "MigrationError", "Migrator", "resume_migration"]
 
 #: valid ``crash_after`` hook points, in WAL order.
-CRASH_POINTS = ("stage", "mid-write", "commit")
+CRASH_POINTS = (STAGE, "mid-write", COMMIT)
+
+#: a simulated crash of the migrator (the executor's one crash type).
+MigrationCrash = TransferCrash
 
 
-class MigrationCrash(RuntimeError):
-    """Simulated process crash at a WAL stage (testing hook).
-
-    The in-memory mover is dead after this; the journal and the disks
-    survive.  Recover with :func:`resume_migration`.
-    """
-
-
-class Migrator:
+class Migrator(WindowedTransfer):
     """Online layout migration of one store, driven by :meth:`step`.
 
     Parameters
@@ -89,7 +79,9 @@ class Migrator:
         Span tracer (``migrate`` spans).  Defaults to the store's tracer.
     budget_per_step:
         Token-bucket deposit per :meth:`step`, in physical element
-        operations.  ``None`` means unthrottled (a window per step).
+        operations, paid through a :class:`~repro.recovery.throttle.
+        RepairThrottle` (:attr:`throttle`).  ``None`` means unthrottled
+        (a window per step).
     checkpoint_every:
         Commit count between journal checkpoints (the final commit always
         checkpoints).  Each checkpoint verifies the Lemma-1 invariant
@@ -97,6 +89,9 @@ class Migrator:
     crash_after / crash_at_window:
         Testing hooks, see module docstring.
     """
+
+    span_name = "migrate"
+    apply_point = "mid-write"
 
     def __init__(
         self,
@@ -118,16 +113,14 @@ class Migrator:
             raise MigrationError(
                 "store is already mid-migration; use resume_migration()"
             )
-        if crash_after is not None and crash_after not in CRASH_POINTS:
-            raise ValueError(
-                f"crash_after must be one of {CRASH_POINTS}, got {crash_after!r}"
-            )
+        super().__init__(
+            journal,
+            tracer=tracer if tracer is not None else getattr(store, "tracer", NULL_TRACER),
+            crash_after=crash_after,
+            crash_at_window=crash_at_window,
+        )
         if checkpoint_every <= 0:
             raise ValueError(f"checkpoint_every must be > 0, got {checkpoint_every}")
-        if budget_per_step is not None and budget_per_step <= 0:
-            raise ValueError(
-                f"budget_per_step must be > 0, got {budget_per_step}"
-            )
         self.store = store
         self.source = store.placement
         self.target = (
@@ -137,35 +130,33 @@ class Migrator:
         )
         if self.target.code is not store.code:
             raise MigrationError("target placement was built for a different code")
-        self.journal = (
-            journal if isinstance(journal, MigrationJournal) else MigrationJournal(journal)
-        )
         self.cache = cache
-        self.tracer = tracer if tracer is not None else getattr(store, "tracer", NULL_TRACER)
         self.registry = registry if registry is not None else getattr(store, "registry", None)
         self.budget_per_step = budget_per_step
         self.checkpoint_every = checkpoint_every
-        self.crash_after = crash_after
-        self.crash_at_window = crash_at_window
         self.context_extra = dict(context_extra or {})
 
         self.plan: MigrationPlan = plan_migration(
             self.source, self.target, store.rows_written
         )
+        self.order = range(self.plan.num_windows)
         self.router = MigrationRouter(
             self.source,
             self.target,
             unit_rows=self.plan.unit_rows,
             planned_rows=self.plan.rows,
         )
+        if budget_per_step is not None:
+            # a burst bound one deposit above the dearest (full) window
+            # never caps the bucket: every step pays as it deposits
+            full = self.plan.unit_rows * (store.code.k + store.code.n)
+            self.throttle = RepairThrottle(
+                budget_per_step, min_budget=budget_per_step, max_budget=budget_per_step + full
+            )
 
-        # throttle + observability state
-        self._tokens = 0
         self.rows_moved = 0
         self.elements_moved = 0
         self.bytes_moved = 0
-        self.bytes_staged = 0
-        self.throttle_stalls = 0
         self.resumes = 0
         self.write_intents = 0
         self.cache_invalidations = 0
@@ -174,13 +165,9 @@ class Migrator:
         self._finalized = False
 
         if _resume_committed is None:
-            if self.journal.exists():
-                raise MigrationError(
-                    f"journal {self.journal.path} already exists; "
-                    "use resume_migration()"
-                )
-            self.journal.write_plan(self._context())
+            self._write_plan(self._context(), MigrationError)
         else:
+            self.done.update(_resume_committed)
             for w in sorted(_resume_committed):
                 self.router.mark_migrated(w)
                 self.rows_moved += len(self.plan.window_rows(w))
@@ -194,19 +181,14 @@ class Migrator:
     # progress
     # ------------------------------------------------------------------
     @property
-    def complete(self) -> bool:
-        """True once every planned window is committed."""
-        return self.router.complete
-
-    @property
     def windows_done(self) -> int:
         """Committed window count."""
-        return self.router.windows_done
+        return len(self.done)
 
     @property
-    def progress_ratio(self) -> float:
-        """Committed fraction of the schedule."""
-        return self.router.progress_ratio
+    def throttle_stalls(self) -> int:
+        """Steps the throttle refused (0 when unthrottled)."""
+        return self.throttle.stalls if self.throttle is not None else 0
 
     def _context(self) -> dict:
         """Plan context persisted in the journal's first record.
@@ -224,12 +206,6 @@ class Migrator:
             **self.context_extra,
         }
 
-    def _next_window(self) -> int | None:
-        for w in range(self.plan.num_windows):
-            if w not in self.router.migrated_windows:
-                return w
-        return None
-
     def _window_cost(self, window: int) -> int:
         """Physical element operations one window costs: ``k`` reads plus
         ``n`` writes per row (repairs on faulted rows cost extra, which
@@ -244,23 +220,17 @@ class Migrator:
         """Run one throttled quantum; returns True while work remains.
 
         Deposits ``budget_per_step`` tokens; if the bucket covers the next
-        window's cost, migrates it (stage → apply → commit → invalidate),
-        else records a throttle stall.  Foreground reads interleave
-        between steps.
+        window's cost, migrates it, else records a throttle stall.
+        Foreground reads interleave between steps.
         """
         if self.complete:
             self._finalize()
             return False
         window = self._next_window()
         assert window is not None
-        cost = self._window_cost(window)
-        if self.budget_per_step is not None:
-            self._tokens += self.budget_per_step
-            if self._tokens < cost:
-                self.throttle_stalls += 1
-                return True
-            self._tokens -= cost
-        self._migrate_window(window)
+        if not self._pay(self._window_cost(window)):
+            return True
+        self.run_window(window)
         if self.complete:
             self._finalize()
         return not self.complete
@@ -273,55 +243,32 @@ class Migrator:
             if not self.step():
                 return steps
 
-    def _migrate_window(self, window: int) -> None:
-        rows = self.plan.window_rows(window)
-        with self.tracer.span("migrate", window=window, rows=len(rows)):
-            # stage: verified data payloads, via the router's source side
-            # (repairing faulted elements through the normal machinery)
-            payloads = [self.store.fetch_row_data(row) for row in rows]
-            self.bytes_staged += sum(len(p) for row in payloads for p in row)
-            self.journal.write_stage(window, list(rows), payloads)
-            self._maybe_crash("stage", window)
-            self._apply_window(window, rows, payloads)
-            self.journal.write_commit(window)
-            self._maybe_crash("commit", window)
-            self._commit_window(window, rows)
+    # ------------------------------------------------------------------
+    # executor hooks
+    # ------------------------------------------------------------------
+    def _window_rows(self, window: int) -> range:
+        return self.plan.window_rows(window)
 
-    def _apply_window(
-        self,
-        window: int,
-        rows: range | tuple[int, ...],
-        payloads,
-        *,
-        crash_enabled: bool = True,
-    ) -> None:
-        """Rewrite a staged window at its target addresses (idempotent)."""
+    def _fetch(self, window: int, rows) -> list[list[bytes]]:
+        # verified data payloads via the router's source side, repairing
+        # faulted elements through the normal machinery
+        return [self.store.fetch_row_data(row) for row in rows]
+
+    def _apply_row(self, row: int, payloads) -> None:
+        """Re-encode parity and rewrite the row at its target addresses."""
         k, n, s = self.store.code.k, self.store.code.n, self.store.element_size
-        crash_row = len(rows) // 2
-        for i, row in enumerate(rows):
-            if (
-                crash_enabled
-                and self.crash_after == "mid-write"
-                and window == self.crash_at_window
-                and i == crash_row
-            ):
-                raise MigrationCrash(
-                    f"simulated crash mid-apply of window {window} (row {row})"
-                )
-            data = np.stack(
-                [np.frombuffer(p, dtype=np.uint8) for p in payloads[i]]
-            )
-            parity = self.store.code.encode(data)
-            for e in range(n):
-                addr = self.target.locate_row_element(row, e)
-                payload = data[e] if e < k else parity[e - k]
-                if not self.store.put_element(addr, payload):
-                    self.write_intents += 1
-                self.elements_moved += 1
-                self.bytes_moved += s
-            self.rows_moved += 1
+        data = np.stack([np.frombuffer(p, dtype=np.uint8) for p in payloads])
+        parity = self.store.code.encode(data)
+        for e in range(n):
+            addr = self.target.locate_row_element(row, e)
+            payload = data[e] if e < k else parity[e - k]
+            if not self.store.put_element(addr, payload):
+                self.write_intents += 1
+            self.elements_moved += 1
+            self.bytes_moved += s
+        self.rows_moved += 1
 
-    def _commit_window(self, window: int, rows) -> None:
+    def _on_commit(self, window: int, rows) -> None:
         """Flip routing to the target side and drop stale cached plans."""
         self.router.mark_migrated(window)
         if self.cache is not None:
@@ -335,30 +282,6 @@ class Migrator:
             or self.complete
         ):
             self.checkpoint()
-
-    def _maybe_crash(self, point: str, window: int) -> None:
-        if self.crash_after == point and window == self.crash_at_window:
-            raise MigrationCrash(
-                f"simulated crash after {point} of window {window}"
-            )
-
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-    def _replay_pending(self, pending: PendingStage) -> None:
-        """Re-apply a staged-but-uncommitted window from the journal.
-
-        Idempotent by construction: every write lands the same payload at
-        the same address, refreshing content and checksum, whether the
-        crash happened before, during, or after the original apply.
-        """
-        rows = pending.rows
-        with self.tracer.span("migrate", window=pending.window, replay=True):
-            self._apply_window(
-                pending.window, rows, pending.payloads, crash_enabled=False
-            )
-            self.journal.write_commit(pending.window)
-            self._commit_window(pending.window, rows)
 
     # ------------------------------------------------------------------
     # finalization & observability
@@ -443,10 +366,8 @@ def resume_migration(
     """Recover a crashed migration from its journal.
 
     Rebuilds the router from the journal's committed windows, replays the
-    pending staged window (if any) *before* returning — so the store never
-    serves a read from a half-rewritten band — and returns a
-    :class:`Migrator` ready to :meth:`~Migrator.step`/:meth:`~Migrator.
-    run` the remaining windows.
+    pending window before returning, and returns a :class:`Migrator`
+    ready to :meth:`~Migrator.step`/:meth:`~Migrator.run` the rest.
 
     With ``restage=False`` (in-process recovery: the disks survived the
     crash), ``store`` must hold the partially migrated content the
@@ -457,12 +378,7 @@ def resume_migration(
     the journal promises — possible because the journal is a complete
     WAL of every move.
     """
-    journal = (
-        journal if isinstance(journal, MigrationJournal) else MigrationJournal(journal)
-    )
-    state = journal.load()
-    if not state.started:
-        raise MigrationError(f"journal {journal.path} has no plan record")
+    journal, state = open_journal(journal, "migration", MigrationError, store)
     ctx = state.context
     if isinstance(store.placement, MigrationRouter):
         # crashed in-process: drop the dead router, recover from source
@@ -471,15 +387,6 @@ def resume_migration(
         raise MigrationError(
             f"store placement {store.placement.name!r} does not match the "
             f"journal's source form {ctx['source']!r}"
-        )
-    if store.element_size != ctx["element_size"]:
-        raise MigrationError(
-            f"store element size {store.element_size} does not match the "
-            f"journal's {ctx['element_size']}"
-        )
-    if store.rows_written < ctx["rows"]:
-        raise MigrationError(
-            f"store has {store.rows_written} rows, journal planned {ctx['rows']}"
         )
     mig = Migrator(
         store,
@@ -507,7 +414,8 @@ def resume_migration(
                     f"window {w} committed but its stage record is missing; "
                     "journal is not a complete WAL"
                 )
-            mig._apply_window(w, st.rows, st.payloads, crash_enabled=False)
+            mig._apply(w, st.rows, st.payloads, crash=False)
+            mig.done.add(w)
             mig.router.mark_migrated(w)
     if cache is not None:
         # A cache that survived the "crash" (tests reuse the object; a real
@@ -518,7 +426,7 @@ def resume_migration(
             0, mig.plan.rows * store.code.k, placement=mig.router
         )
     if state.pending is not None:
-        mig._replay_pending(state.pending)
+        mig.replay(state.pending)
     elif not mig.complete:
         mig.checkpoint()
     if mig.complete:

@@ -5,24 +5,14 @@ rebuild helper reads over all survivors, so rebuild is faster for the
 same reason reads are — but a calculation repairs nothing.  The pieces:
 
 :class:`DiskRebuild` drives one failed disk's reconstruction onto a
-bound spare, incrementally in row-windows, through the same crash-safe
-WAL (:class:`~repro.migrate.journal.MigrationJournal`) the migration
-mover uses:
-
-1. **stage** — each window's verified *data* payloads are fetched
-   through :meth:`BlockStore.fetch_row_data` (repairing faulted elements
-   on the way) and journaled before any slot is touched;
-2. **reconstruct** — the window's lost elements are rewritten on the
-   spare: data straight from the staged payloads, parity re-encoded from
-   data (deterministic, so the bytes are identical);
-3. **commit** — a commit record marks the window durable; plan-cache
-   entries covering the window are dropped.
-
-A crash at any point (the ``crash_after`` hooks cover all three stages)
-is recovered by :func:`resume_disk_rebuild`: committed windows are
-trusted, the pending staged window is replayed idempotently, and the
-rebuild continues — converging on the same final state as an
-uninterrupted run.
+bound spare, incrementally in row-windows, on the
+:mod:`~repro.migrate.transfer` executor.  Its fetch stages either each
+row's verified data (``row-data``) or only the lost payloads, fetched
+through the minimum-transfer repair planner (``lost-elements``).  Its
+apply (crash point ``"reconstruct"``) writes the lost elements on the
+spare, re-encoding parity from data.  Its commit drops the window's
+plan-cache entries; it writes no checkpoints.  :func:`resume_disk_rebuild`
+picks up a crashed rebuild.
 
 Rebuilt elements are readable *immediately*, and not just after their
 window commits: binding the spare (:meth:`SimDisk.restore(wipe=True)`)
@@ -66,7 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from ..codes.base import DecodeFailure
-from ..migrate.journal import MigrationJournal, PendingStage
+from ..migrate.journal import MigrationJournal
+from ..migrate.transfer import COMMIT, STAGE, TransferCrash, WindowedTransfer, open_journal
 from ..obs import NULL_TRACER, Tracer
 from .detector import DetectorConfig, FailureDetector
 from .spares import SparePool, SpareExhaustedError
@@ -84,7 +75,7 @@ __all__ = [
 ]
 
 #: valid ``crash_after`` hook points of one rebuild window, in WAL order.
-REBUILD_CRASH_POINTS = ("stage", "reconstruct", "commit")
+REBUILD_CRASH_POINTS = (STAGE, "reconstruct", COMMIT)
 
 #: journal context discriminator (the WAL format is shared with
 #: migration and cluster rebalance; the kind keeps resumes honest).
@@ -95,12 +86,8 @@ class RecoveryError(RuntimeError):
     """Recovery plane misuse (wrong journal, wrong disk state, ...)."""
 
 
-class RecoveryCrash(RuntimeError):
-    """Simulated process crash at a rebuild WAL stage (testing hook).
-
-    The in-memory executor is dead after this; the journal and the disks
-    survive.  Recover with :func:`resume_disk_rebuild`.
-    """
+#: a simulated crash of the rebuild (the executor's one crash type).
+RecoveryCrash = TransferCrash
 
 
 class SpareFailedError(RecoveryError):
@@ -136,7 +123,7 @@ class DataLossError(RuntimeError):
         self.rows = list(rows)
 
 
-class DiskRebuild:
+class DiskRebuild(WindowedTransfer):
     """Crash-safe, throttled rebuild of one failed disk onto a spare.
 
     Parameters
@@ -171,6 +158,9 @@ class DiskRebuild:
         index refers to the *visit order*, not the natural index.
     """
 
+    span_name = "rebuild"
+    apply_point = "reconstruct"
+
     def __init__(
         self,
         store,
@@ -191,11 +181,13 @@ class DiskRebuild:
         _resume_rows: int | None = None,
         _resume_staged: str | None = None,
     ) -> None:
-        if crash_after is not None and crash_after not in REBUILD_CRASH_POINTS:
-            raise ValueError(
-                f"crash_after must be one of {REBUILD_CRASH_POINTS}, "
-                f"got {crash_after!r}"
-            )
+        super().__init__(
+            journal,
+            tracer=tracer if tracer is not None else getattr(store, "tracer", NULL_TRACER),
+            throttle=throttle,
+            crash_after=crash_after,
+            crash_at_window=crash_at_window,
+        )
         if unit_rows <= 0:
             raise ValueError(f"unit_rows must be > 0, got {unit_rows}")
         if max_barren_rounds < 1:
@@ -206,18 +198,10 @@ class DiskRebuild:
             raise ValueError(f"disk {failed_disk} out of range")
         self.store = store
         self.failed_disk = failed_disk
-        self.journal = (
-            journal
-            if isinstance(journal, MigrationJournal)
-            else MigrationJournal(journal)
-        )
+        self.span_attrs = {"disk": failed_disk}
         self.cache = cache
-        self.throttle = throttle
         self.unit_rows = unit_rows
-        self.tracer = tracer if tracer is not None else getattr(store, "tracer", NULL_TRACER)
         self.registry = registry if registry is not None else getattr(store, "registry", None)
-        self.crash_after = crash_after
-        self.crash_at_window = crash_at_window
         self.max_barren_rounds = max_barren_rounds
 
         # What each stage record holds, persisted in the WAL context so a
@@ -257,12 +241,10 @@ class DiskRebuild:
                 f"0..{self.num_windows - 1}"
             )
 
-        self.done: set[int] = set()
         self._parked: set[int] = set()
         self.rows_rebuilt = 0
         self.elements_rebuilt = 0
         self.bytes_repaired = 0
-        self.bytes_staged = 0
         self.write_intents = 0
         self.parked_events = 0
         self.spare_down_events = 0
@@ -277,12 +259,7 @@ class DiskRebuild:
                 raise RecoveryError(
                     f"disk {failed_disk} has not failed; nothing to rebuild"
                 )
-            if self.journal.exists():
-                raise RecoveryError(
-                    f"journal {self.journal.path} already exists; "
-                    "use resume_disk_rebuild()"
-                )
-            self.journal.write_plan(self._context())
+            self._write_plan(self._context(), RecoveryError)
             # bind the spare: the bay comes back alive and empty, so
             # degraded reads can self-heal not-yet-rebuilt slots from here
             store.array[failed_disk].restore(wipe=True)
@@ -336,19 +313,8 @@ class DiskRebuild:
     # progress
     # ------------------------------------------------------------------
     @property
-    def complete(self) -> bool:
-        """True once every window has a commit record."""
-        return len(self.done) >= self.num_windows
-
-    @property
     def windows_committed(self) -> int:
         return len(self.done)
-
-    @property
-    def progress_ratio(self) -> float:
-        if self.num_windows == 0:
-            return 1.0
-        return len(self.done) / self.num_windows
 
     @property
     def parked_windows(self) -> list[int]:
@@ -358,12 +324,6 @@ class DiskRebuild:
     def parked_rows(self) -> list[int]:
         """Candidate rows covered by parked windows, ascending."""
         return sorted(r for w in self._parked for r in self._window_rows(w))
-
-    def _next_pending(self) -> int | None:
-        for w in self.order:
-            if w not in self.done and w not in self._parked:
-                return w
-        return None
 
     # ------------------------------------------------------------------
     # the rebuild loop
@@ -380,7 +340,7 @@ class DiskRebuild:
         """
         if self.complete:
             return False
-        window = self._next_pending()
+        window = self._next_window(self._parked)
         if window is None:
             # everything left is parked: begin a retry round
             if self._round_progress == 0:
@@ -408,16 +368,12 @@ class DiskRebuild:
             self._round_progress = 0
             self.retry_rounds += 1
             self._parked.clear()
-            window = self._next_pending()
+            window = self._next_window(self._parked)
             assert window is not None
-        cost = self._window_cost(window)
-        if self.throttle is not None:
-            self.throttle.refill()
-            # a window bigger than the bucket must still be payable
-            if not self.throttle.spend(min(cost, self.throttle.max_budget)):
-                return True
+        if not self._pay(self._window_cost(window)):
+            return True
         try:
-            self._rebuild_window(window)
+            self.run_window(window)
             self._round_progress += 1
         except (DecodeFailure, _SpareDown):
             self._parked.add(window)
@@ -443,127 +399,66 @@ class DiskRebuild:
                     " windows)"
                 )
 
-    def _rebuild_window(self, window: int) -> None:
-        rows = self._window_rows(window)
-        with self.tracer.span(
-            "rebuild", disk=self.failed_disk, window=window, rows=len(rows)
-        ):
-            # stage: verified payloads (faulted elements repaired on the
-            # way; a not-yet-rebuilt slot on the spare self-heals here).
-            # In lost-elements mode only the reconstructed targets are
-            # staged, fetched through the min-transfer repair planner.
-            if self.staged_mode == "lost-elements":
-                payloads = []
-                for row in rows:
-                    repaired = self.store.fetch_repair_payloads(
-                        row, self._lost_elements(row)
-                    )
-                    payloads.append([repaired[e] for e in sorted(repaired)])
-            else:
-                payloads = [self.store.fetch_row_data(row) for row in rows]
-            if self.store.array[self.failed_disk].failed:
-                # the bound spare died during the fetches.  Faults fire
-                # on batch entry and writes never tick the clock, so
-                # checking here — after the last fetch, before the stage
-                # record — is race-free: a window that does get staged is
-                # guaranteed an up spare for every put, keeping
-                # put_element's dropped-write intent path out of the
-                # rebuild entirely and the WAL free of a second
-                # uncommitted stage.
-                self.spare_down_events += 1
-                raise _SpareDown(window)
-            self.bytes_staged += sum(len(p) for row in payloads for p in row)
-            self.journal.write_stage(window, list(rows), payloads)
-            self._maybe_crash("stage", window)
-            self._apply_window(window, rows, payloads)
-            self.journal.write_commit(window)
-            self._maybe_crash("commit", window)
-            self._commit_window(window, rows)
+    # ------------------------------------------------------------------
+    # executor hooks
+    # ------------------------------------------------------------------
+    def _fetch(self, window: int, rows) -> list[list[bytes]]:
+        # verified payloads (faulted elements repaired on the way; a
+        # not-yet-rebuilt slot on the spare self-heals here).  In
+        # lost-elements mode only the reconstructed targets are staged,
+        # fetched through the min-transfer repair planner.
+        if self.staged_mode == "lost-elements":
+            payloads = []
+            for row in rows:
+                repaired = self.store.fetch_repair_payloads(
+                    row, self._lost_elements(row)
+                )
+                payloads.append([repaired[e] for e in sorted(repaired)])
+        else:
+            payloads = [self.store.fetch_row_data(row) for row in rows]
+        if self.store.array[self.failed_disk].failed:
+            # the bound spare died during the fetches.  Faults fire on
+            # batch entry and writes never tick the clock, so checking
+            # here — after the last fetch, before the stage record — is
+            # race-free: a window that does get staged is guaranteed an
+            # up spare for every put, keeping put_element's dropped-write
+            # intent path out of the rebuild entirely and the WAL free of
+            # a second uncommitted stage.
+            self.spare_down_events += 1
+            raise _SpareDown(window)
+        return payloads
 
-    def _apply_window(
-        self,
-        window: int,
-        rows,
-        payloads,
-        *,
-        crash_enabled: bool = True,
-    ) -> None:
-        """Reconstruct the window's lost elements on the spare (idempotent)."""
+    def _apply_row(self, row: int, payloads) -> None:
+        """Reconstruct the row's lost elements on the spare."""
+        lost = self._lost_elements(row)
+        if not lost:
+            return
         k, s = self.store.code.k, self.store.element_size
+        if self.staged_mode == "lost-elements":
+            # the staged record *is* the lost payloads, in lost order
+            targets = list(zip(lost, payloads))
+        else:
+            data = np.stack([np.frombuffer(p, dtype=np.uint8) for p in payloads])
+            parity = (
+                self.store.code.encode(data) if any(e >= k for e in lost) else None
+            )
+            targets = [(e, data[e] if e < k else parity[e - k]) for e in lost]
         placement = self.store.placement
-        crash_row = len(rows) // 2
-        visit = self.order.index(window)
-        for i, row in enumerate(rows):
-            if (
-                crash_enabled
-                and self.crash_after == "reconstruct"
-                and visit == self.crash_at_window
-                and i == crash_row
-            ):
-                raise RecoveryCrash(
-                    f"simulated crash mid-reconstruct of window {window} "
-                    f"(row {row})"
-                )
-            lost = self._lost_elements(row)
-            if not lost:
-                continue
-            if self.staged_mode == "lost-elements":
-                # the staged record *is* the lost payloads, in lost order
-                targets = list(zip(lost, payloads[i]))
+        for e, payload in targets:
+            addr = placement.locate_row_element(row, e)
+            if self.store.put_element(addr, payload):
+                self.bytes_repaired += s
             else:
-                data = np.stack(
-                    [np.frombuffer(p, dtype=np.uint8) for p in payloads[i]]
-                )
-                parity = (
-                    self.store.code.encode(data) if any(e >= k for e in lost) else None
-                )
-                targets = [
-                    (e, data[e] if e < k else parity[e - k]) for e in lost
-                ]
-            for e, payload in targets:
-                addr = placement.locate_row_element(row, e)
-                if self.store.put_element(addr, payload):
-                    self.bytes_repaired += s
-                else:
-                    self.write_intents += 1
-                self.elements_rebuilt += 1
-            self.rows_rebuilt += 1
+                self.write_intents += 1
+            self.elements_rebuilt += 1
+        self.rows_rebuilt += 1
 
-    def _commit_window(self, window: int, rows) -> None:
-        self.done.add(window)
+    def _on_commit(self, window: int, rows) -> None:
         if self.cache is not None:
             k = self.store.code.k
             self.cache_invalidations += self.cache.invalidate_elements(
                 rows[0] * k, (rows[-1] + 1) * k, placement=self.store.placement
             )
-
-    def _maybe_crash(self, point: str, window: int) -> None:
-        if (
-            self.crash_after == point
-            and self.order.index(window) == self.crash_at_window
-        ):
-            raise RecoveryCrash(
-                f"simulated crash after {point} of window {window}"
-            )
-
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-    def _replay_pending(self, pending: PendingStage) -> None:
-        """Re-apply a staged-but-uncommitted window from the journal.
-
-        Idempotent: every write lands the same payload at the same
-        address, whether the crash hit before, during, or after the
-        original apply.
-        """
-        with self.tracer.span(
-            "rebuild", disk=self.failed_disk, window=pending.window, replay=True
-        ):
-            self._apply_window(
-                pending.window, pending.rows, pending.payloads, crash_enabled=False
-            )
-            self.journal.write_commit(pending.window)
-            self._commit_window(pending.window, pending.rows)
 
     # ------------------------------------------------------------------
     # observability
@@ -605,35 +500,14 @@ def resume_disk_rebuild(
 ) -> DiskRebuild:
     """Recover a crashed disk rebuild from its journal.
 
-    Trusts committed windows, replays the pending staged window (if any)
-    *before* returning — so no caller can observe a half-reconstructed
-    window as the executor's responsibility — and returns a
-    :class:`DiskRebuild` ready to :meth:`~DiskRebuild.step` /
-    :meth:`~DiskRebuild.run` the remaining schedule.  Also re-binds the
-    spare if the crash left the disk failed (a crash *between*
-    confirmation and binding).
+    Trusts committed windows, replays the pending window before
+    returning, and returns a :class:`DiskRebuild` ready to
+    :meth:`~DiskRebuild.step` / :meth:`~DiskRebuild.run` the rest.  Also
+    re-binds the spare if the crash left the disk failed (a crash
+    *between* confirmation and binding).
     """
-    journal = (
-        journal if isinstance(journal, MigrationJournal) else MigrationJournal(journal)
-    )
-    state = journal.load()
-    if not state.started:
-        raise RecoveryError(f"journal {journal.path} has no plan record")
+    journal, state = open_journal(journal, JOURNAL_KIND, RecoveryError, store)
     ctx = state.context
-    if ctx.get("kind") != JOURNAL_KIND:
-        raise RecoveryError(
-            f"journal {journal.path} is a {ctx.get('kind', 'migration')!r} "
-            f"journal, not {JOURNAL_KIND!r}"
-        )
-    if store.element_size != ctx["element_size"]:
-        raise RecoveryError(
-            f"store element size {store.element_size} does not match the "
-            f"journal's {ctx['element_size']}"
-        )
-    if store.rows_written < ctx["rows"]:
-        raise RecoveryError(
-            f"store has {store.rows_written} rows, journal planned {ctx['rows']}"
-        )
     failed_disk = int(ctx["failed_disk"])
     if store.array[failed_disk].failed:
         store.array[failed_disk].restore(wipe=True)
@@ -665,7 +539,7 @@ def resume_disk_rebuild(
             0, ctx["rows"] * store.code.k, placement=store.placement
         )
     if state.pending is not None:
-        rb._replay_pending(state.pending)
+        rb.replay(state.pending)
     return rb
 
 

@@ -5,11 +5,12 @@ Rebuild I/O competes with foreground reads for the same spindles
 the cluster, not an offline batch job).  :class:`RepairThrottle` bounds
 that competition two ways:
 
-* a **token bucket** over physical element operations — each repair
-  quantum deposits ``budget_per_step`` tokens and a rebuild window only
-  runs once the bucket covers its cost (the same discipline the
-  migration mover uses, so repair and migration are throttled in the
-  same currency);
+* a **token bucket** over physical element operations — each quantum
+  deposits ``budget_per_step`` tokens and a window only runs once the
+  bucket covers its cost.  The windowed-transfer executor
+  (:mod:`repro.migrate.transfer`) spends through this bucket for every
+  throttled transfer — the migrator's ``budget_per_step`` builds one
+  too — so repair and migration are throttled in the same currency;
 * an **AIMD controller** keyed to the foreground tail — the caller
   periodically reports the foreground p99 against the clean baseline
   (:meth:`observe_foreground`); when the ratio exceeds ``target_ratio``

@@ -5,7 +5,6 @@ metrics()/InjectorHandle surfaces behave."""
 import warnings
 
 import numpy as np
-import pytest
 
 import repro
 from repro.cache import CacheConfig, HotTierCache
@@ -201,16 +200,6 @@ class TestMetricsSurface:
         assert m["recovery"] == {"enabled": False}
         assert m["service"]["requests"] >= 1
         assert m["cluster"]["stripes"] == 8
-
-    def test_stats_snapshot_deprecated_but_equivalent(self):
-        cluster, data = _cluster()
-        cluster.submit([(0, len(data))])
-        with pytest.deprecated_call():
-            legacy = cluster.stats_snapshot()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy == cluster.stats_snapshot()
-        assert legacy == cluster.metrics()["cluster"]
 
     def test_metrics_emits_no_deprecation_warning(self):
         cluster, _ = _cluster()

@@ -17,6 +17,7 @@ from repro.migrate import (
     resume_migration,
 )
 from repro.obs import MetricsRegistry, Tracer
+from repro.recovery import DiskRebuild
 from repro.store import BlockStore
 
 ELEMENT_SIZE = 32
@@ -231,6 +232,15 @@ class TestCrashRecovery:
         store, _ = _build()
         with pytest.raises(MigrationError, match="no plan record"):
             resume_migration(store, tmp_path / "missing.jsonl")
+
+    def test_resume_rejects_foreign_journal(self, tmp_path):
+        store, _ = _build(form="ec-frm")
+        store.array.fail_disk(1)
+        journal = tmp_path / "rebuild.wal"
+        DiskRebuild(store, 1, journal=journal).run()
+        with pytest.raises(MigrationError, match="not a migration journal") as err:
+            resume_migration(store, journal)
+        assert "'disk-rebuild'" in str(err.value)
 
     def test_fresh_start_refuses_existing_journal(self, tmp_path):
         store, _ = _build()

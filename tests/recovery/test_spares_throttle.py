@@ -1,8 +1,13 @@
-"""SparePool inventory accounting and RepairThrottle token/AIMD behavior."""
+"""SparePool inventory accounting and RepairThrottle token/AIMD behavior
+(the migrator's ``budget_per_step`` included)."""
 
 import pytest
 
+from repro.codes import make_rs
+from repro.migrate import Migrator
+from repro.obs import MetricsRegistry
 from repro.recovery import RepairThrottle, SpareExhaustedError, SparePool
+from repro.store import BlockStore
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +105,19 @@ def test_aimd_backs_off_and_recovers():
     before = th.budget_per_step
     assert th.observe_foreground(1.0, 0.0) == 1.0
     assert th.budget_per_step == before
+
+
+def test_migrator_budget_spends_through_a_repair_throttle(tmp_path):
+    registry = MetricsRegistry()
+    store = BlockStore(make_rs(3, 2), "standard", element_size=32, registry=registry)
+    store.append(bytes(range(256)) * 4 + bytes(32))  # 11 rows: windows of 5, 5, 1
+    mig = Migrator(store, "ec-frm", journal=tmp_path / "j.jsonl", budget_per_step=15)
+    # a full window costs 5 * (3 + 5) = 40 ops: two stalls per full window
+    # at 15 tokens a step, then the 8-op tail window pays at once
+    assert mig.run() == 7
+    assert isinstance(mig.throttle, RepairThrottle)
+    assert mig.throttle.stalls == 4
+    assert registry.snapshot()["migration"]["throttle_stalls"] == mig.throttle.stalls
 
 
 def test_throttle_validation():
