@@ -55,6 +55,13 @@ from .verify import crc32c
 __all__ = ["BlockStore", "HealthCounters"]
 
 
+def _payload_bytes(payload: bytes | np.ndarray) -> bytes:
+    """An element payload as the bytes a disk slot stores."""
+    if isinstance(payload, np.ndarray):
+        return np.asarray(payload, dtype=np.uint8).tobytes()
+    return bytes(payload)
+
+
 @dataclass
 class HealthCounters:
     """Cumulative integrity/self-heal counters for one store.
@@ -251,11 +258,7 @@ class BlockStore:
         write-time CRC32C.  Every write path (flush, rebuild, in-place
         update, scrub repair, self-heal) must come through here, or reads
         would flag the stale checksum as corruption."""
-        buf = (
-            np.asarray(payload, dtype=np.uint8).tobytes()
-            if isinstance(payload, np.ndarray)
-            else bytes(payload)
-        )
+        buf = _payload_bytes(payload)
         self.array[addr.disk].write_slot(addr.slot, buf)
         self._checksums[(addr.disk, addr.slot)] = crc32c(buf)
 
@@ -270,11 +273,7 @@ class BlockStore:
         the recorded intent, the stale element would carry a *matching*
         stale checksum and read back silently wrong.
         """
-        buf = (
-            np.asarray(payload, dtype=np.uint8).tobytes()
-            if isinstance(payload, np.ndarray)
-            else bytes(payload)
-        )
+        buf = _payload_bytes(payload)
         if self.array[addr.disk].failed:
             self._checksums[(addr.disk, addr.slot)] = crc32c(buf)
             return False
