@@ -153,6 +153,15 @@ class ErasureCode(ABC):
         contains ``lost``.
         """
 
+    def repairable_from(self, lost: int, helpers: Iterable[int]) -> bool:
+        """True if ``lost`` can be rebuilt from ``helpers``' whole elements.
+
+        Codes without a generator matrix only ever offer verified repair
+        sets, so the default answers True; :class:`MatrixCode` checks the
+        span.
+        """
+        return True
+
     def repair_io_count(self, lost: int) -> int:
         """Number of element reads needed to repair ``lost`` from scratch."""
         return len(self.repair_plan(lost))
@@ -213,6 +222,9 @@ class MatrixCode(ErasureCode):
         self._k = k
         self._n = n
         self._fault_tolerance: int | None = None
+        #: span rank of the generator rows of an element-index set, keyed
+        #: by the set's bitmask (row order and repeats do not change rank)
+        self._rank_memo: dict[int, int] = {}
 
     # -- geometry -------------------------------------------------------
     @property
@@ -248,6 +260,26 @@ class MatrixCode(ErasureCode):
             else:
                 break
         return best
+
+    def span_rank(self, indices: Iterable[int]) -> int:
+        """Rank of the generator rows of the element indices ``indices``.
+
+        Answers are memoized per code on the index set (at most ``2**n``
+        entries): the generator is read-only, so a set's rank never
+        changes.  Two threads missing on one set both store the same
+        value, so the memo needs no lock.
+        """
+        mask = 0
+        for i in indices:
+            i = int(i)
+            if not 0 <= i < self._n:
+                raise ValueError(f"element index {i} out of range for n={self._n}")
+            mask |= 1 << i
+        r = self._rank_memo.get(mask)
+        if r is None:
+            rows = [i for i in range(self._n) if mask >> i & 1]
+            r = self._rank_memo[mask] = gfm.rank(self.field, self._generator[rows])
+        return r
 
     @property
     def is_mds(self) -> bool:
@@ -314,9 +346,7 @@ class MatrixCode(ErasureCode):
         for e in erased_set:
             if not 0 <= e < self.n:
                 raise ValueError(f"element index {e} out of range for n={self.n}")
-        available = [i for i in range(self.n) if i not in erased_set]
-        sub = self._generator[available]
-        return gfm.rank(self.field, sub) == self.k
+        return self.span_rank(i for i in range(self.n) if i not in erased_set) == self.k
 
     def decode(
         self,
@@ -435,7 +465,7 @@ class MatrixCode(ErasureCode):
         over the field, or None when the target row is outside the span."""
         f = self.field
         rows = self._generator[list(helpers)]
-        r = gfm.rank(f, rows)
+        r = self.span_rank(helpers)
         if r == 0:
             return None
         basis = self._independent_rows(rows.copy(), r)
@@ -552,7 +582,7 @@ class MatrixCode(ErasureCode):
         )
         for size in range(self.k, len(survivors) + 1):
             candidate = frozenset(preference[:size])
-            if self._repairable_from(lost, candidate):
+            if self.repairable_from(lost, candidate):
                 return candidate
         raise DecodeFailure(f"element {lost} cannot be repaired from survivors")
 
@@ -579,14 +609,11 @@ class MatrixCode(ErasureCode):
         )
         for size in range(self.k, len(survivors) + 1):
             candidate = frozenset(preference[:size])
-            if self._repairable_from(lost, candidate):
+            if self.repairable_from(lost, candidate):
                 return candidate
         raise DecodeFailure(f"element {lost} cannot be repaired from survivors")
 
-    def _repairable_from(self, lost: int, helpers: frozenset[int]) -> bool:
+    def repairable_from(self, lost: int, helpers: Iterable[int]) -> bool:
         """True if ``lost`` is a GF-linear combination of ``helpers``' rows."""
-        f = self.field
-        rows = self._generator[sorted(helpers)]
-        target = self._generator[lost]
-        stacked = np.vstack([rows, target[np.newaxis, :]])
-        return gfm.rank(f, stacked) == gfm.rank(f, rows)
+        helpers = frozenset(helpers)
+        return self.span_rank(helpers | {lost}) == self.span_rank(helpers)

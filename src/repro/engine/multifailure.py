@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..codes.base import DecodeFailure, ErasureCode, MatrixCode
-from ..gf import matrix as gfm
 from ..layout.base import Address, Placement
 from .requests import AccessKind, AccessPlan, ElementAccess, ReadRequest
 
@@ -33,19 +32,18 @@ def _sufficient_helpers(
     sufficiency is reached."""
     if not isinstance(code, MatrixCode):
         raise TypeError("multi-failure planning requires a MatrixCode candidate")
-    field = code.field
 
     def covers(helpers: list[int]) -> bool:
         # erased rows inside span(helpers) <=> stacking them adds no rank
-        own = gfm.rank(field, code.generator[helpers]) if helpers else 0
-        combined = gfm.rank(field, code.generator[helpers + list(erased)])
+        own = code.span_rank(helpers)
+        combined = code.span_rank(helpers + list(erased))
         return combined == own
 
     chosen: list[int] = []
     own_rank = 0
     reached = False
     for h in preferred:
-        new_rank = gfm.rank(field, code.generator[chosen + [h]])
+        new_rank = code.span_rank(chosen + [h])
         if new_rank == own_rank:
             continue  # h adds nothing to the span
         chosen.append(h)

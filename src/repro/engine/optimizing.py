@@ -67,15 +67,6 @@ def repair_set_alternatives(
     return alternatives
 
 
-def _is_sufficient(code: ErasureCode, lost: int, helpers: frozenset[int]) -> bool:
-    """Check a candidate helper set can actually rebuild ``lost``."""
-    from ..codes.base import MatrixCode
-
-    if isinstance(code, MatrixCode):
-        return code._repairable_from(lost, helpers)
-    return True  # non-matrix codes only ever offer verified sets
-
-
 def plan_degraded_read_optimized(
     placement: Placement,
     request: ReadRequest,
@@ -166,7 +157,7 @@ def _scored_candidates(
 ):
     """Yield ``(score, helpers, new_fetches)`` for feasible candidates."""
     for helpers in candidates:
-        if not _is_sufficient(code, lost, helpers):
+        if not code.repairable_from(lost, helpers):
             continue
         new_fetches: list[tuple[int, Address]] = []
         ok = True

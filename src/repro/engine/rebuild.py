@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..disks.model import DiskModel
 from ..layout.base import Address, Placement
+from .optimizing import repair_set_alternatives
 
 __all__ = ["RebuildPlan", "plan_disk_rebuild", "rebuild_time_s"]
 
@@ -105,18 +106,16 @@ def plan_disk_rebuild(
             if not optimize:
                 commit(row, code.repair_plan(e))
                 continue
-            from .optimizing import _is_sufficient, repair_set_alternatives
-
+            sufficient = [
+                helpers
+                for helpers in repair_set_alternatives(code, e, frozenset())
+                if code.repairable_from(e, helpers)
+            ]
+            min_size = min(len(helpers) for helpers in sufficient)
             best_helpers = None
             best_score = None
-            min_size = None
-            for helpers in repair_set_alternatives(code, e, frozenset()):
-                if not _is_sufficient(code, e, helpers):
-                    continue
-                if min_size is None or len(helpers) < min_size:
-                    min_size = len(helpers)
-            for helpers in repair_set_alternatives(code, e, frozenset()):
-                if len(helpers) != min_size or not _is_sufficient(code, e, helpers):
+            for helpers in sufficient:
+                if len(helpers) != min_size:
                     continue
                 trial = loads.copy()
                 fresh = 0

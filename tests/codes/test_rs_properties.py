@@ -71,4 +71,4 @@ class TestMDSContract:
         assert lost not in plan
         assert len(plan) == rs.k
         # the plan must actually span the lost element's equation
-        assert rs._repairable_from(lost, plan)
+        assert rs.repairable_from(lost, plan)

@@ -21,7 +21,7 @@ class TestRepairSetAlternatives:
     def test_mds_alternatives_all_sufficient(self):
         rs = make_rs(6, 3)
         for helpers in repair_set_alternatives(rs, 2, frozenset({0, 1})):
-            assert rs._repairable_from(2, helpers)
+            assert rs.repairable_from(2, helpers)
             assert 2 not in helpers
 
     def test_limit_respected(self):

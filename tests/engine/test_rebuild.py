@@ -1,10 +1,14 @@
 """Tests for whole-disk rebuild planning and timing."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.codes import make_lrc, make_rs
+from repro.codes import LocalReconstructionCode, ReedSolomonCode, make_lrc, make_rs
 from repro.disks import SAVVIO_10K3, UNIFORM_UNIT
-from repro.engine import plan_disk_rebuild, rebuild_time_s
+from repro.engine import RebuildPlan, plan_disk_rebuild, rebuild_time_s
+from repro.gf import matrix as gfm
 from repro.layout import FRMPlacement, StandardPlacement, make_placement
 
 MiB = 1024 * 1024
@@ -69,6 +73,67 @@ class TestOptimizedRebuild:
         naive = plan_disk_rebuild(p, 0, rows=60)
         opt = plan_disk_rebuild(p, 0, rows=60, optimize=True)
         assert opt.total_reads == naive.total_reads
+
+
+class TestPlanningRankMemo:
+    """Optimized rebuild planning asks each code the same span-rank
+    questions row after row; the per-code memo answers repeats without
+    Gaussian elimination, and the chosen helpers do not change."""
+
+    #: optimized plans for every disk of both forms of rs-6-3 and
+    #: lrc-6-2-2, recorded before the memo existed
+    FIXTURE = json.loads((Path(__file__).parent / "rebuild_plans.json").read_text())
+
+    def _sweep(self, placements):
+        rows = self.FIXTURE["rows"]
+        return {
+            key: [
+                plan_disk_rebuild(p, disk, rows, optimize=True)
+                for disk in range(p.num_disks)
+            ]
+            for key, p in placements.items()
+        }
+
+    def _expected(self, key):
+        rows = self.FIXTURE["rows"]
+        return [
+            RebuildPlan(
+                failed_disk=disk,
+                rows=rows,
+                reads={int(d): [tuple(a) for a in v] for d, v in reads.items()},
+                elements_rebuilt=rows,
+            )
+            for disk, reads in enumerate(self.FIXTURE["plans"][key])
+        ]
+
+    def test_second_sweep_makes_no_rank_calls(self, monkeypatch):
+        # fresh code objects: the shared lru_cache'd ones may be warm
+        codes = {
+            "rs-6-3": ReedSolomonCode(6, 3),
+            "lrc-6-2-2": LocalReconstructionCode(6, 2, 2),
+        }
+        placements = {
+            f"{spec}/{form}": make_placement(form, code)
+            for spec, code in codes.items()
+            for form in ("standard", "ec-frm")
+        }
+        calls = []
+        rank = gfm.rank
+
+        def counted(field, m):
+            calls.append(1)
+            return rank(field, m)
+
+        monkeypatch.setattr(gfm, "rank", counted)
+        first = self._sweep(placements)
+        # one elimination per distinct row set queried
+        assert 0 < len(calls) == sum(len(c._rank_memo) for c in codes.values())
+        calls.clear()
+        second = self._sweep(placements)
+        assert len(calls) == 0
+        for key in placements:
+            assert first[key] == self._expected(key)
+            assert second[key] == self._expected(key)
 
 
 class TestRebuildTime:
