@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from ..cache import CacheConfig, HotTierCache
 from ..codes.base import ErasureCode
@@ -35,12 +35,13 @@ from ..disks.presets import SAVVIO_10K3
 from ..engine.service import BatchReadResult, ReadService
 from ..migrate.transfer import open_journal
 from ..net import Topology, TransferSummary
-from ..obs import NULL_TRACER, Histogram, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..store.blockstore import BlockStore
 from .rebalance import RebalanceReport, ShardRecoveryReport, run_rebalance
 from .shardmap import ShardMap, make_shard_map
 
 if TYPE_CHECKING:  # pragma: no cover - optional collaborators
+    from ..engine.pipeline import RequestPipeline
     from ..faults import FaultInjector, FaultSchedule
     from ..migrate.journal import MigrationJournal
     from ..recovery import DetectorConfig, RecoveryOrchestrator
@@ -179,6 +180,19 @@ class ClusterReadResult:
         return self.bytes_served / self.makespan_s / (1024 * 1024)
 
 
+class _Route(NamedTuple):
+    """One logical range as routed by :meth:`ClusterService._route`."""
+
+    #: physical offset of the range's first byte (pad excision anchor).
+    phys_start: int
+    #: logical bytes wanted.
+    length: int
+    #: assembly program, see :meth:`ClusterService._assemble`.
+    segments: list[tuple]
+    #: indices into the call's sub-read list, in assembly order.
+    reads: list[int]
+
+
 class InjectorHandle:
     """Detachable handle for one shard-targeted fault injector.
 
@@ -308,6 +322,8 @@ class ClusterService:
         self._injectors: list[InjectorHandle] = []
         #: per-shard recovery planes, populated by :meth:`enable_recovery`.
         self.orchestrators: list["RecoveryOrchestrator"] = []
+        #: the latest open-loop run's pipeline (``service.pipeline.*``).
+        self._pipeline: "RequestPipeline | None" = None
         #: the hot-tier replica cache (None when disabled).
         self.hot_tier: HotTierCache | None
         if isinstance(cache, HotTierCache):
@@ -557,8 +573,109 @@ class ClusterService:
         return payload
 
     # ------------------------------------------------------------------
-    # read path
+    # read path: one router and one assembler behind both entry points
     # ------------------------------------------------------------------
+    def _route(
+        self, ranges: Sequence[tuple[int, int]], *, share_widened: bool
+    ) -> tuple[list[_Route], list[tuple[int, int, int]]]:
+        """Map logical byte ranges to assembly segments and sub-reads.
+
+        Every range is validated before anything is looked up or counted,
+        so a refused call leaves the tier and the counters untouched.
+        Each range is then split at stripe boundaries and, with a hot
+        tier attached, every piece consults it once: a hit becomes a
+        literal slice of the replica, a hot-enough miss widens its
+        sub-read to the whole stripe (promoted, then sliced, on
+        assembly), and anything else is a sub-read as-is.  With
+        ``share_widened`` a stripe already widened earlier in the call
+        reuses that fetch instead of issuing another.
+
+        Returns one :class:`_Route` per range plus the call's distinct
+        ``(shard id, local offset, length)`` sub-reads, which the routes'
+        ``reads`` index.
+        """
+        for offset, length in ranges:
+            if offset < 0 or length <= 0:
+                raise ValueError(
+                    f"invalid byte range offset={offset} length={length}"
+                )
+            if offset + length > self._user_bytes:
+                raise ValueError(
+                    f"range [{offset}, {offset + length}) beyond stored "
+                    f"{self._user_bytes} user bytes (flush() pending data "
+                    "first)"
+                )
+        sb = self.stripe_bytes
+        tier = self.hot_tier
+        subreads: list[tuple[int, int, int]] = []
+        #: stripe -> index of its whole-stripe sub-read (sharing only).
+        widened: dict[int, int] = {}
+        routes: list[_Route] = []
+        for offset, length in ranges:
+            phys_first = self._logical_to_physical(offset)
+            phys_last = self._logical_to_physical(offset + length - 1)
+            pieces = self._split_physical(phys_first, phys_last - phys_first + 1)
+            if len({sid for _, sid, _, _ in pieces}) > 1:
+                self.counters.spanning_reads += 1
+            segments: list[tuple] = []
+            reads: list[int] = []
+            for g, sid, local_off, piece_len in pieces:
+                in_off = local_off % sb
+                read, segment = (sid, local_off, piece_len), ("part",)
+                if tier is not None:
+                    payload = self._tier_lookup(g)
+                    if payload is not None:
+                        segments.append(("lit", payload[in_off : in_off + piece_len]))
+                        continue
+                    if g in widened:
+                        reads.append(widened[g])
+                        segments.append(("stripe", in_off, piece_len, g))
+                        continue
+                    if tier.wants_promotion(g):
+                        read = (sid, local_off - in_off, sb)
+                        segment = ("stripe", in_off, piece_len, g)
+                        if share_widened:
+                            widened[g] = len(subreads)
+                reads.append(len(subreads))
+                subreads.append(read)
+                segments.append(segment)
+                self.counters.sub_reads[sid] = self.counters.sub_reads.get(sid, 0) + 1
+            routes.append(_Route(phys_first, length, segments, reads))
+        return routes, subreads
+
+    def _assemble(self, route: _Route, parts: Sequence[bytes]) -> bytes:
+        """The logical bytes of one routed range.
+
+        ``parts`` are the payloads of ``route.reads``, in order.  Segment
+        kinds: ``("lit", bytes)`` is a tier slice; ``("part",)`` takes
+        the next payload as-is; ``("stripe", in_off, n, g)`` takes the
+        next payload as the whole of stripe ``g``, promotes it unless
+        resident, and slices it.  Flush padding is excised last.  A route
+        assembles once, so its program is dropped here: a pipeline keeps
+        every job's meta after the run, and the tier slices need not
+        outlive the payload.
+        """
+        out: list[bytes] = []
+        it = iter(parts)
+        for segment in route.segments:
+            kind = segment[0]
+            if kind == "lit":
+                out.append(segment[1])
+            elif kind == "part":
+                out.append(next(it))
+            else:
+                _, in_off, piece_len, g = segment
+                stripe_payload = next(it)
+                if g not in self.hot_tier:
+                    self.hot_tier.insert(g, stripe_payload)
+                out.append(stripe_payload[in_off : in_off + piece_len])
+        route.segments.clear()
+        logical = self._excise_padding(b"".join(out), route.phys_start)
+        assert len(logical) == route.length, (
+            f"reassembled {len(logical)} bytes, wanted {route.length}"
+        )
+        return logical
+
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at logical ``offset``, shard-transparent."""
         return self.submit([(offset, length)], queue_depth=1).payloads[0]
@@ -577,106 +694,41 @@ class ClusterService:
         served from the stripe's in-memory replica (no shard, no
         :class:`~repro.disks.array.DiskArray` access at all), and a
         hot-enough miss widens its sub-read to the whole stripe so the
-        replica can be promoted from the same accounted fetch.  The
-        remaining pieces fan out to the owning shards' services (plan
-        cache, closed-loop timing, degraded replan, bounded fault
-        retries — all per shard) and everything is reassembled in
-        submission order.  Shards are independent arrays, so the batch's
-        simulated wall-clock is the slowest shard's.
+        replica can be promoted from the same accounted fetch (once per
+        batch, however many ranges touch the stripe).  The remaining
+        pieces fan out to the owning shards' services (plan cache,
+        closed-loop timing, degraded replan, bounded fault retries — all
+        per shard) and everything is reassembled in submission order.
+        Shards are independent arrays, so the batch's simulated
+        wall-clock is the slowest shard's.
         """
         if not ranges:
             raise ValueError("empty batch")
-        sb = self.stripe_bytes
-        tier = self.hot_tier
+        routes, subreads = self._route(ranges, share_widened=True)
         per_shard: dict[int, list[tuple[int, int]]] = {}
-        # Per-range assembly program; slot kinds:
-        #   ("shard", sid, j)                -> shard_results[sid].payloads[j]
-        #   ("tier", piece_bytes)            -> served from the hot tier
-        #   ("stripe", sid, j, in_off, n, g) -> slice of a promoted
-        #                                       full-stripe sub-read
-        layout: list[list[tuple]] = []
-        phys_starts: list[int] = []
-        #: stripes already widened to a full-stripe fetch in this batch.
-        promoting: dict[int, tuple[int, int]] = {}
-        for offset, length in ranges:
-            if offset < 0 or length <= 0:
-                raise ValueError(
-                    f"invalid byte range offset={offset} length={length}"
-                )
-            if offset + length > self._user_bytes:
-                raise ValueError(
-                    f"range [{offset}, {offset + length}) beyond stored "
-                    f"{self._user_bytes} user bytes (flush() pending data "
-                    "first)"
-                )
-            phys_first = self._logical_to_physical(offset)
-            phys_last = self._logical_to_physical(offset + length - 1)
-            phys_starts.append(phys_first)
-            pieces = self._split_physical(phys_first, phys_last - phys_first + 1)
-            slots: list[tuple] = []
-            for g, sid, local_off, piece_len in pieces:
-                in_off = local_off % sb
-                if tier is not None:
-                    payload = self._tier_lookup(g)
-                    if payload is not None:
-                        slots.append(
-                            ("tier", payload[in_off : in_off + piece_len])
-                        )
-                        continue
-                    if g in promoting:
-                        psid, pj = promoting[g]
-                        slots.append(
-                            ("stripe", psid, pj, in_off, piece_len, g)
-                        )
-                        continue
-                    if tier.wants_promotion(g):
-                        bucket = per_shard.setdefault(sid, [])
-                        j = len(bucket)
-                        bucket.append((local_off - in_off, sb))
-                        promoting[g] = (sid, j)
-                        slots.append(("stripe", sid, j, in_off, piece_len, g))
-                        continue
-                bucket = per_shard.setdefault(sid, [])
-                slots.append(("shard", sid, len(bucket)))
-                bucket.append((local_off, piece_len))
-            layout.append(slots)
-            if len({sid for _, sid, _, _ in pieces}) > 1:
-                self.counters.spanning_reads += 1
+        #: sub-read index -> (shard id, position in that shard's batch).
+        slots: list[tuple[int, int]] = []
+        for sid, local_off, piece_len in subreads:
+            bucket = per_shard.setdefault(sid, [])
+            slots.append((sid, len(bucket)))
+            bucket.append((local_off, piece_len))
 
         shard_results: dict[int, BatchReadResult] = {}
         for sid in sorted(per_shard):
-            vol = self.volumes[sid]
             with self.tracer.span(
                 "shard_fanout", shard=sid, sub_reads=len(per_shard[sid])
             ):
-                shard_results[sid] = vol.service.submit(
+                shard_results[sid] = self.volumes[sid].service.submit(
                     per_shard[sid], queue_depth, max_retries=max_retries
                 )
-            self.counters.sub_reads[sid] = self.counters.sub_reads.get(
-                sid, 0
-            ) + len(per_shard[sid])
 
-        payloads: list[bytes] = []
-        for i, (offset, length) in enumerate(ranges):
-            parts: list[bytes] = []
-            for slot in layout[i]:
-                kind = slot[0]
-                if kind == "tier":
-                    parts.append(slot[1])
-                elif kind == "shard":
-                    _, sid, j = slot
-                    parts.append(shard_results[sid].payloads[j])
-                else:  # promoted full-stripe read
-                    _, sid, j, in_off, piece_len, g = slot
-                    stripe_payload = shard_results[sid].payloads[j]
-                    if tier is not None and g not in tier:
-                        tier.insert(g, stripe_payload)
-                    parts.append(stripe_payload[in_off : in_off + piece_len])
-            logical = self._excise_padding(b"".join(parts), phys_starts[i])
-            assert len(logical) == length, (
-                f"range {i}: reassembled {len(logical)} bytes, wanted {length}"
-            )
-            payloads.append(logical)
+        payloads = []
+        for route in routes:
+            parts = []
+            for i in route.reads:
+                sid, j = slots[i]
+                parts.append(shard_results[sid].payloads[j])
+            payloads.append(self._assemble(route, parts))
 
         makespan: float | None = 0.0
         for result in shard_results.values():
@@ -701,9 +753,9 @@ class ClusterService:
         ``arrivals`` is an iterable of ``(arrival_s, offset, length)``
         logical byte reads (e.g. an
         :class:`~repro.engine.pipeline.OpenLoopWorkload` over
-        :attr:`user_bytes`).  Each arrival is split at stripe boundaries
-        into per-shard pieces, and the whole process runs through one
-        :class:`~repro.engine.pipeline.RequestPipeline` spanning every
+        :attr:`user_bytes`).  Each arrival is routed exactly as
+        :meth:`submit` routes a range, and the whole process runs through
+        one :class:`~repro.engine.pipeline.RequestPipeline` spanning every
         shard's service — asynchronous scatter-gather: a spanning read's
         pieces queue on their shards *concurrently*, and the request
         completes when the slowest piece does.  Admission, coalescing and
@@ -712,193 +764,42 @@ class ClusterService:
         run's :class:`~repro.engine.pipeline.OpenLoopResult` (payloads in
         arrival order when materializing, reassembled and pad-excised).
 
-        With a hot tier attached, each arrival consults it at submission:
-        fully-resident arrivals resolve *at their arrival time* — they
-        never enter admission, hedging or any disk queue, and contribute
-        zero-latency samples to the merged result — while partially
-        resident arrivals enqueue only their uncached pieces.  Hot-enough
-        misses widen to full-stripe fetches and are promoted into the
-        tier as their jobs complete (materializing runs only).
+        With a hot tier attached, an arrival the tier serves entirely is
+        a job with no pieces: it completes *at its arrival time* with a
+        zero-latency sample and never enters admission, hedging or any
+        disk queue.  Partially resident arrivals enqueue only their
+        uncached pieces.  Hot-enough misses widen to full-stripe fetches
+        (one per arrival: jobs complete at different times) and are
+        promoted into the tier as their jobs complete (materializing
+        runs only).
         """
         from ..engine.pipeline import RequestPipeline
 
-        sb = self.stripe_bytes
-        tier = self.hot_tier
-        jobs: list[tuple[float, list[tuple[int, int, int]]]] = []
-        #: (phys_first, logical length, assembly segments) per job.
-        metas: list[tuple[int, int, list[tuple]]] = []
-        #: fully-tier-served arrivals: (arrival_s, payload).
-        cached: list[tuple[float, bytes]] = []
-        #: arrival-order provenance: ("pipe", job idx) | ("tier", cached idx).
-        order: list[tuple[str, int]] = []
-        for arrival_s, offset, length in arrivals:
-            if offset < 0 or length <= 0:
-                raise ValueError(
-                    f"invalid byte range offset={offset} length={length}"
-                )
-            if offset + length > self._user_bytes:
-                raise ValueError(
-                    f"range [{offset}, {offset + length}) beyond stored "
-                    f"{self._user_bytes} user bytes (flush() pending data "
-                    "first)"
-                )
-            phys_first = self._logical_to_physical(offset)
-            phys_last = self._logical_to_physical(offset + length - 1)
-            pieces = self._split_physical(
-                phys_first, phys_last - phys_first + 1
-            )
-            if len({sid for _, sid, _, _ in pieces}) > 1:
-                self.counters.spanning_reads += 1
-            # Segment kinds: ("lit", bytes) tier-served; ("part",) next
-            # pipeline payload as-is; ("stripe", in_off, n, g) next
-            # pipeline payload is a whole stripe — promote then slice.
-            segments: list[tuple] = []
-            job_ranges: list[tuple[int, int, int]] = []
-            for g, sid, local_off, piece_len in pieces:
-                in_off = local_off % sb
-                if tier is not None:
-                    payload = self._tier_lookup(g)
-                    if payload is not None:
-                        segments.append(
-                            ("lit", payload[in_off : in_off + piece_len])
-                        )
-                        continue
-                    if tier.wants_promotion(g):
-                        job_ranges.append((sid, local_off - in_off, sb))
-                        segments.append(("stripe", in_off, piece_len, g))
-                        self.counters.sub_reads[sid] = (
-                            self.counters.sub_reads.get(sid, 0) + 1
-                        )
-                        continue
-                job_ranges.append((sid, local_off, piece_len))
-                segments.append(("part",))
-                self.counters.sub_reads[sid] = (
-                    self.counters.sub_reads.get(sid, 0) + 1
-                )
-            if not job_ranges:
-                buf = b"".join(seg[1] for seg in segments)
-                logical = self._excise_padding(buf, phys_first)
-                assert len(logical) == length, (
-                    f"tier-assembled {len(logical)} bytes, wanted {length}"
-                )
-                order.append(("tier", len(cached)))
-                cached.append((arrival_s, logical))
-            else:
-                order.append(("pipe", len(jobs)))
-                jobs.append((arrival_s, job_ranges))
-                metas.append((phys_first, length, segments))
-
-        def assemble(
-            meta: tuple[int, int, list[tuple]], parts: list[bytes]
-        ) -> bytes:
-            phys_start, want, segments = meta
-            out: list[bytes] = []
-            it = iter(parts)
-            for seg in segments:
-                if seg[0] == "lit":
-                    out.append(seg[1])
-                elif seg[0] == "part":
-                    out.append(next(it))
-                else:  # promoted full-stripe fetch
-                    _, in_off, piece_len, g = seg
-                    stripe_payload = next(it)
-                    if tier is not None and g not in tier:
-                        tier.insert(g, stripe_payload)
-                    out.append(stripe_payload[in_off : in_off + piece_len])
-            logical = self._excise_padding(b"".join(out), phys_start)
-            assert len(logical) == want, (
-                f"reassembled {len(logical)} bytes, wanted {want}"
-            )
-            return logical
-
-        result = None
-        if jobs:
-            pipe = RequestPipeline(
-                [vol.service for vol in self.volumes],
-                tracer=self.tracer,
-                registry=self.registry,
-                assemble=assemble,
-                **pipeline_kwargs,
-            )
-            result = pipe.run_jobs(jobs, metas=metas)
-        if cached:
-            pipe_first = jobs[0][0] if jobs else None
-            result = self._merge_open_loop(result, cached, order, pipe_first)
-        if result is None:
+        arrivals = list(arrivals)
+        if not arrivals:
             raise ValueError("no jobs to run")
+        routes, subreads = self._route(
+            [(offset, length) for _, offset, length in arrivals],
+            share_widened=False,
+        )
+        jobs = [
+            (arrival_s, [subreads[i] for i in route.reads])
+            for (arrival_s, _, _), route in zip(arrivals, routes)
+        ]
+        # A private registry: the cluster publishes only the latest run's
+        # pipeline, so earlier runs (and their jobs) are not kept alive.
+        self._pipeline = RequestPipeline(
+            [vol.service for vol in self.volumes],
+            tracer=self.tracer,
+            registry=MetricsRegistry(),
+            assemble=self._assemble,
+            **pipeline_kwargs,
+        )
+        result = self._pipeline.run_jobs(jobs, metas=routes)
         self.counters.requests += result.completed
         self.counters.batches += 1
         self.counters.bytes_served += result.bytes_served
         return result
-
-    def _merge_open_loop(self, result, cached, order, pipe_first):
-        """Fold tier-served arrivals into a pipeline run's result.
-
-        Tier hits complete the instant they arrive (the replica is in
-        memory), so each contributes a zero-latency sample and extends
-        the completion horizon only to its own arrival time.
-        ``result`` is ``None`` when *every* arrival was tier-served —
-        the pipeline never ran (it refuses empty job lists).
-        """
-        from ..engine.pipeline import OpenLoopResult
-
-        cached_bytes = sum(len(p) for _, p in cached)
-        first_cached = min(t for t, _ in cached)
-        last_cached = max(t for t, _ in cached)
-        if result is None:
-            latency = Histogram("service.pipeline.latency_s")
-            latency.observe_many(0.0 for _ in cached)
-            return OpenLoopResult(
-                arrived=len(cached),
-                completed=len(cached),
-                rejected=0,
-                coalesced=0,
-                hedges_launched=0,
-                hedges_won=0,
-                hedges_wasted=0,
-                retries=0,
-                makespan_s=last_cached - first_cached,
-                bytes_served=cached_bytes,
-                latency=latency,
-                queue_wait=Histogram("service.pipeline.queue_wait_s"),
-                disk_depth=Histogram("service.pipeline.disk_depth"),
-                peak_queue_depth=0,
-                peak_disk_depth=0,
-                disk_load={},
-                payloads=[p for _, p in cached],
-            )
-        result.latency.observe_many(0.0 for _ in cached)
-        # run_jobs reports makespan relative to its own first arrival;
-        # re-anchor to the merged stream's first arrival and stretch the
-        # horizon to the last tier hit if it lands after the pipeline.
-        pipe_done = pipe_first + result.makespan_s
-        first_arrival = min(first_cached, pipe_first)
-        last_done = max(pipe_done, last_cached)
-        payloads = None
-        if result.payloads is not None:
-            payloads = [
-                result.payloads[idx] if kind == "pipe" else cached[idx][1]
-                for kind, idx in order
-            ]
-        return OpenLoopResult(
-            arrived=result.arrived + len(cached),
-            completed=result.completed + len(cached),
-            rejected=result.rejected,
-            coalesced=result.coalesced,
-            hedges_launched=result.hedges_launched,
-            hedges_won=result.hedges_won,
-            hedges_wasted=result.hedges_wasted,
-            retries=result.retries,
-            makespan_s=max(0.0, last_done - first_arrival),
-            bytes_served=result.bytes_served + cached_bytes,
-            latency=result.latency,
-            queue_wait=result.queue_wait,
-            disk_depth=result.disk_depth,
-            peak_queue_depth=result.peak_queue_depth,
-            peak_disk_depth=result.peak_disk_depth,
-            disk_load=result.disk_load,
-            payloads=payloads,
-        )
 
     # ------------------------------------------------------------------
     # faults
@@ -1419,8 +1320,8 @@ class ClusterService:
 
     def _service_rollup(self) -> dict:
         """The ``service.*`` namespace: per-shard read services summed
-        cluster-wide (the pipeline adds ``service.pipeline.*`` beside
-        these when :meth:`submit_open_loop` runs)."""
+        cluster-wide, plus ``service.pipeline.*`` from the latest
+        :meth:`submit_open_loop` run."""
         out = {
             "requests": 0,
             "bytes_served": 0,
@@ -1437,6 +1338,8 @@ class ClusterService:
             out["retries"] += c.retries
             out["plan_cache_hits"] += vol.service.cache.stats.hits
             out["plan_cache_misses"] += vol.service.cache.stats.misses
+        if self._pipeline is not None:
+            out["pipeline"] = self._pipeline.snapshot()
         return out
 
     def metrics(self) -> dict:
@@ -1445,8 +1348,8 @@ class ClusterService:
         One call, every namespace: ``cluster.*`` (frontend counters and
         per-shard rollup), ``cache.*`` (hot tier), ``recovery.*``
         (cluster-wide recovery plane), ``service.*`` (summed per-shard
-        read services, plus ``service.pipeline.*`` once an open-loop run
-        has registered) — and anything else registered into
+        read services, plus ``service.pipeline.*`` of the latest
+        open-loop run) — and anything else registered into
         :attr:`registry`.  This is the single metrics entry point."""
         return self.registry.snapshot()
 

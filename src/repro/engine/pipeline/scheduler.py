@@ -222,9 +222,9 @@ class RequestPipeline:
         ``pipeline`` sub-namespace under ``service.*`` in the registry
         snapshot (``service.pipeline.*`` when flattened).
     assemble:
-        Job payload assembler ``(meta, piece_payloads) -> bytes`` for
-        multi-piece jobs (the cluster's pad-excising reassembly); the
-        default concatenates.
+        Job payload assembler ``(meta, piece_payloads) -> bytes`` (the
+        cluster's pad-excising reassembly, which also supplies the bytes
+        of jobs with no pieces); the default concatenates.
     """
 
     def __init__(
@@ -296,7 +296,11 @@ class RequestPipeline:
 
         Arrivals must be in nondecreasing time order (the load generator
         produces them that way).  ``metas`` optionally attaches one
-        opaque context object per job, handed to ``assemble``.
+        opaque context object per job, handed to ``assemble``.  A job
+        with no ranges needs no disk work (a cluster's hot tier served
+        it): it completes at its arrival time with payload
+        ``assemble(meta, [])`` and a zero-latency sample, never entering
+        admission, hedging or a disk queue.
         """
         self._heap = []
         self._seq = count()
@@ -319,8 +323,6 @@ class RequestPipeline:
         first_arrival: float | None = None
 
         for idx, (arrival_s, ranges) in enumerate(jobs):
-            if not ranges:
-                raise ValueError(f"job {idx} has no ranges")
             job = _Job(index=idx, arrival_s=arrival_s)
             if metas is not None:
                 if idx >= len(metas):
@@ -412,6 +414,10 @@ class RequestPipeline:
         heapq.heappush(self._heap, (when, next(self._seq), kind, obj))
 
     def _on_arrival(self, t: float, job: _Job) -> None:
+        if not job.pieces:
+            self._last_completion = max(self._last_completion, t)
+            self._finish_job(job, t)
+            return
         verdict = self.admission.offer(job)
         if verdict == "admit":
             self._start_job(job, t)
@@ -649,20 +655,25 @@ class RequestPipeline:
         job.remaining -= 1
         if job.remaining > 0:
             return
+        self._finish_job(job, t)
+        nxt = self.admission.release()
+        if nxt is not None:
+            self._start_job(nxt, t)
+
+    def _finish_job(self, job: _Job, t: float) -> None:
         job.done_s = t
         self._latency.observe(t - job.arrival_s)
         self._run_counts["completed"] += 1
         self.completed += 1
-        self.bytes_served += sum(p.length for p in job.pieces)
-        if self.materialize:
+        if self.materialize or not job.pieces:
             parts = [p.payload if p.payload is not None else b"" for p in job.pieces]
             if self.assemble is not None:
                 job.payload = self.assemble(job.meta, parts)
             else:
                 job.payload = parts[0] if len(parts) == 1 else b"".join(parts)
-        nxt = self.admission.release()
-        if nxt is not None:
-            self._start_job(nxt, t)
+        self.bytes_served += (
+            sum(p.length for p in job.pieces) if job.pieces else len(job.payload)
+        )
 
     # ------------------------------------------------------------------
     # helpers

@@ -2,13 +2,14 @@
 
 The tier's whole contract is transparency: with a (deliberately tiny,
 eviction-heavy) hot tier in front, every byte-range read served through
-:class:`ClusterService` must stay byte-equal to the raw stream and to a
-flat cache-less reference :class:`BlockStore` — across repeated hot
-reads (promotions then hits), appends, direct migration moves,
-hash-ring rebalances onto a new shard, and degraded reads with a failed
-disk.  A stale replica surviving any of those transitions is an
-automatic failure, both through the read path and via direct inspection
-of every resident payload after each phase.
+:class:`ClusterService` — by ``submit`` and by ``submit_open_loop`` —
+must stay byte-equal to the raw stream and to a flat cache-less
+reference :class:`BlockStore` across repeated hot reads (promotions
+then hits), appends, direct migration moves, hash-ring rebalances onto
+a new shard, and degraded reads with a failed disk.  A stale replica
+surviving any of those transitions is an automatic failure, both
+through the read path and via direct inspection of every resident
+payload after each phase.
 
 Each seed draws a random shard count, tier geometry (capacity, admission
 threshold, eviction sample, sketch aging), stream length and hot set.
@@ -95,6 +96,14 @@ def _assert_agree(cluster, flat_svc, data, ranges, *, tag):
     ref = flat_svc.submit(ranges, queue_depth=4)
     assert got.payloads == ref.payloads, (
         f"{tag}: cached cluster diverged from flat reference"
+    )
+    # the same ranges as open-loop arrivals 1 ms apart: the pipeline path
+    # shares the router and assembler, and its promotions land here too
+    arrivals = [(i * 1e-3, o, n) for i, (o, n) in enumerate(ranges)]
+    open_loop = cluster.submit_open_loop(arrivals)
+    assert open_loop.payloads == expected, f"{tag}: open-loop read diverged from raw"
+    assert open_loop.payloads == ref.payloads, (
+        f"{tag}: open-loop read diverged from flat reference"
     )
     # every resident replica must byte-match the raw stream right now —
     # a stale payload is caught here even before a read lands on it
