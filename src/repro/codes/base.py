@@ -19,8 +19,8 @@ encode/decode kernels are vectorized across the payload axis.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations, islice
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class ErasureCode(ABC):
     """A systematic single-row erasure code.
 
     Subclasses must provide the code geometry (``k``, ``n``), an
-    ``encode``/``decode`` pair, and repair planning for degraded reads.
+    ``encode``/``decode`` pair, and :meth:`repairable_from`, which the
+    shared repair planning for degraded reads relies on.
     """
 
     #: short registry name, e.g. ``"rs"`` or ``"lrc"``.
@@ -134,9 +135,19 @@ class ErasureCode(ABC):
     # ------------------------------------------------------------------
     # repair planning (used by the degraded-read planner)
     # ------------------------------------------------------------------
-    @abstractmethod
-    def repair_plan(self, lost: int, have: frozenset[int] = frozenset()) -> frozenset[int]:
+    def repair_plan(
+        self,
+        lost: int,
+        have: frozenset[int] = frozenset(),
+        *,
+        cost: Callable[[int], float] | None = None,
+    ) -> frozenset[int]:
         """A read set sufficient to reconstruct single lost element ``lost``.
+
+        Greedily takes survivors in order of ``cost`` (when given; the
+        topology planner charges cross-rack helpers above in-rack ones),
+        then elements the caller already holds, then data before parity,
+        widening from ``k`` helpers until :meth:`repairable_from` holds.
 
         Parameters
         ----------
@@ -146,28 +157,38 @@ class ErasureCode(ABC):
             Element indices whose payloads the caller will already hold
             (e.g. because the user's read request covers them); the plan
             prefers these as helpers to minimise *extra* disk accesses.
+        cost:
+            Optional ``element -> price`` ranking survivors before any
+            other preference.
 
         Returns
         -------
         The complete helper set (``have`` members it uses included); never
         contains ``lost``.
         """
+        if not 0 <= lost < self.n:
+            raise ValueError(f"element index {lost} out of range for n={self.n}")
+        survivors = [i for i in range(self.n) if i != lost]
+        preference = sorted(
+            survivors,
+            key=lambda i: (cost(i) if cost else 0, i not in have, self.is_parity(i), i),
+        )
+        for size in range(self.k, len(survivors) + 1):
+            candidate = frozenset(preference[:size])
+            if self.repairable_from(lost, candidate):
+                return candidate
+        raise DecodeFailure(f"element {lost} cannot be repaired from survivors")
 
+    @abstractmethod
     def repairable_from(self, lost: int, helpers: Iterable[int]) -> bool:
-        """True if ``lost`` can be rebuilt from ``helpers``' whole elements.
-
-        Codes without a generator matrix only ever offer verified repair
-        sets, so the default answers True; :class:`MatrixCode` checks the
-        span.
-        """
-        return True
+        """True if ``lost`` can be rebuilt from ``helpers``' whole elements."""
 
     def repair_io_count(self, lost: int) -> int:
         """Number of element reads needed to repair ``lost`` from scratch."""
         return len(self.repair_plan(lost))
 
     def repair_candidates(
-        self, lost: int, have: frozenset[int] = frozenset()
+        self, lost: int, have: frozenset[int] = frozenset(), *, limit: int = 24
     ) -> list[dict[int, float]]:
         """Alternative repair read-sets for ``lost``, as ``{helper: fraction}``.
 
@@ -175,14 +196,31 @@ class ErasureCode(ABC):
         element's bytes the reconstruction consumes — sub-element repair
         (piggybacked codes) reads the whole slot off the disk but only
         ships that fraction over the network.  Contract: every candidate's
-        *whole-element* support set must decode ``[lost]`` on its own, so
-        the data plane can always fall back to full-element decoding.
-        The minimum-transfer planner (:mod:`repro.net.planner`) prices the
-        candidates against a rack topology and picks the cheapest.
+        *whole-element* support set decodes ``[lost]`` on its own, so the
+        data plane can always fall back to full-element decoding, and at
+        most ``limit`` candidates are returned.  Every single-loss planner
+        chooses among these: the bottleneck-aware degraded and rebuild
+        planners (:mod:`repro.engine.optimizing`,
+        :mod:`repro.engine.rebuild`) on disk load, the minimum-transfer
+        planner (:mod:`repro.net.planner`) on network bytes.
 
-        The default is the single conventional plan at full fraction.
+        The default yields :meth:`repair_plan`'s set first, then every
+        single swap of one of its non-``have`` helpers for an unused
+        survivor that still repairs ``lost`` (for MDS codes, all of them),
+        each at full fraction.
         """
-        return [{h: 1.0 for h in self.repair_plan(lost, have)}]
+        if limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
+        preferred = self.repair_plan(lost, have)
+        unused = [i for i in range(self.n) if i != lost and i not in preferred]
+        swaps = (
+            (preferred - {out}) | {incoming}
+            for out in sorted(preferred - have)
+            for incoming in unused
+        )
+        found = [preferred]
+        found += islice((s for s in swaps if self.repairable_from(lost, s)), limit - 1)
+        return [dict.fromkeys(sorted(helpers), 1.0) for helpers in found]
 
     # ------------------------------------------------------------------
     # verification helpers
@@ -564,55 +602,6 @@ class MatrixCode(ErasureCode):
         return chosen
 
     # -- repair planning --------------------------------------------------
-    def repair_plan(self, lost: int, have: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Generic repair planning for matrix codes.
-
-        Greedily assembles a helper set preferring (1) elements the caller
-        already holds, then (2) data elements, then (3) parities, and
-        verifies solvability; falls back to widening the set if the greedy
-        pick is singular (cannot happen for MDS codes but can for LRC-style
-        coefficient structures handled by subclasses).
-        """
-        if not 0 <= lost < self.n:
-            raise ValueError(f"element index {lost} out of range for n={self.n}")
-        survivors = [i for i in range(self.n) if i != lost]
-        preference = sorted(
-            survivors,
-            key=lambda i: (i not in have, self.is_parity(i), i),
-        )
-        for size in range(self.k, len(survivors) + 1):
-            candidate = frozenset(preference[:size])
-            if self.repairable_from(lost, candidate):
-                return candidate
-        raise DecodeFailure(f"element {lost} cannot be repaired from survivors")
-
-    def repair_plan_costed(
-        self,
-        lost: int,
-        cost,
-        have: frozenset[int] = frozenset(),
-    ) -> frozenset[int]:
-        """Cost-directed variant of :meth:`repair_plan`.
-
-        ``cost(element) -> float`` prices each survivor (the topology
-        planner charges cross-rack helpers above in-rack ones); the greedy
-        prefix prefers cheap survivors first, then ``have`` members, then
-        data over parity, and widens until solvable — same solvability
-        guarantee as :meth:`repair_plan`, different preference order.
-        """
-        if not 0 <= lost < self.n:
-            raise ValueError(f"element index {lost} out of range for n={self.n}")
-        survivors = [i for i in range(self.n) if i != lost]
-        preference = sorted(
-            survivors,
-            key=lambda i: (cost(i), i not in have, self.is_parity(i), i),
-        )
-        for size in range(self.k, len(survivors) + 1):
-            candidate = frozenset(preference[:size])
-            if self.repairable_from(lost, candidate):
-                return candidate
-        raise DecodeFailure(f"element {lost} cannot be repaired from survivors")
-
     def repairable_from(self, lost: int, helpers: Iterable[int]) -> bool:
         """True if ``lost`` is a GF-linear combination of ``helpers``' rows."""
         helpers = frozenset(helpers)

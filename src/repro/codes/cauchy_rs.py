@@ -17,7 +17,6 @@ import numpy as np
 from ..gf import GF, GF8
 from ..gf.vandermonde import cauchy_matrix, extended_generator
 from .base import MatrixCode
-from .reed_solomon import ReedSolomonCode
 
 __all__ = ["CauchyReedSolomonCode", "make_cauchy_rs"]
 
@@ -69,9 +68,6 @@ class CauchyReedSolomonCode(MatrixCode):
     def fault_tolerance(self) -> int:
         # Cauchy blocks make the generator MDS by construction.
         return self.m
-
-    # Any k survivors suffice, exactly as for Vandermonde RS.
-    repair_plan = ReedSolomonCode.repair_plan
 
     def bitmatrix(self) -> np.ndarray:
         """Expand the coding block to its GF(2) bitmatrix form.

@@ -23,6 +23,7 @@ local group (``k/l`` reads instead of ``k``).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -126,14 +127,25 @@ class LocalReconstructionCode(MatrixCode):
     # ------------------------------------------------------------------
     # repair planning: this is where LRC shines on degraded reads
     # ------------------------------------------------------------------
-    def repair_plan(self, lost: int, have: frozenset[int] = frozenset()) -> frozenset[int]:
+    def repair_plan(
+        self,
+        lost: int,
+        have: frozenset[int] = frozenset(),
+        *,
+        cost: Callable[[int], float] | None = None,
+    ) -> frozenset[int]:
         """Single-erasure repair using the smallest helper set.
 
         * lost data element: the rest of its local group plus its local
           parity (``k/l`` reads);
         * lost local parity: its group's data (``k/l`` reads);
         * lost global parity: all ``k`` data elements.
+
+        With ``cost`` the generic cost-ordered greedy runs instead, so a
+        topology planner can assemble whichever mix its racks favour.
         """
+        if cost is not None:
+            return super().repair_plan(lost, have, cost=cost)
         if not 0 <= lost < self.n:
             raise ValueError(f"element index {lost} out of range for n={self.n}")
         if self.is_data(lost):
@@ -147,21 +159,29 @@ class LocalReconstructionCode(MatrixCode):
         return frozenset(range(self.k))
 
     def repair_candidates(
-        self, lost: int, have: frozenset[int] = frozenset()
+        self, lost: int, have: frozenset[int] = frozenset(), *, limit: int = 24
     ) -> list[dict[int, float]]:
-        """Local-group plan first, then the generic global set.
+        """For a lost data element, the local set, then the global set.
 
-        The local set is what makes LRC cheap, but when the group is
-        scattered across racks and the global parities are co-located
-        with the repair site, the k-element global set can ship fewer
-        cross-rack bytes — so both are offered and the topology planner
-        prices them.
+        The local set (``k/l`` reads) is what makes LRC cheap.  The global
+        set is the other ``k - 1`` data elements plus global parity 0
+        (``k`` reads, no local parity): when the local group is scattered
+        across racks and the data is co-located with the repair site, it
+        can ship fewer cross-rack bytes, and a load-aware planner can use
+        it to steer reads off a hot disk.  A lost parity gets the generic
+        candidates.
         """
-        candidates = [{h: 1.0 for h in self.repair_plan(lost, have)}]
-        global_set = MatrixCode.repair_plan(self, lost, have)
-        if global_set != frozenset(candidates[0]):
-            candidates.append({h: 1.0 for h in global_set})
-        return candidates
+        if not self.is_data(lost):
+            return super().repair_candidates(lost, have, limit=limit)
+        if limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
+        global_set = [j for j in range(self.k) if j != lost]
+        global_set.append(self.global_parity_index(0))
+        candidates = [
+            dict.fromkeys(sorted(self.repair_plan(lost, have)), 1.0),
+            dict.fromkeys(global_set, 1.0),
+        ]
+        return candidates[:limit]
 
     # ------------------------------------------------------------------
     # information-theoretic decodability oracle (topology-level)

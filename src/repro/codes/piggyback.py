@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..gf import GF, GF8
-from .base import DecodeFailure, ErasureCode
+from .base import ErasureCode
 from .reed_solomon import ReedSolomonCode
 
 __all__ = ["PiggybackRSCode", "make_pb_rs"]
@@ -232,37 +232,14 @@ class PiggybackRSCode(ErasureCode):
     # ------------------------------------------------------------------
     # repair planning
     # ------------------------------------------------------------------
-    def repair_plan(self, lost: int, have: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Whole-element planning: any ``k`` survivors (MDS geometry)."""
-        if not 0 <= lost < self.n:
-            raise ValueError(f"element index {lost} out of range for n={self.n}")
-        survivors = [i for i in range(self.n) if i != lost]
-        preference = sorted(
-            survivors,
-            key=lambda i: (i not in have, self.is_parity(i), i),
-        )
-        return frozenset(preference[: self.k])
-
-    def repair_plan_costed(
-        self,
-        lost: int,
-        cost,
-        have: frozenset[int] = frozenset(),
-    ) -> frozenset[int]:
-        """Cheapest ``k`` survivors under ``cost`` (any k decode)."""
-        if not 0 <= lost < self.n:
-            raise ValueError(f"element index {lost} out of range for n={self.n}")
-        survivors = [i for i in range(self.n) if i != lost]
-        preference = sorted(
-            survivors,
-            key=lambda i: (cost(i), i not in have, self.is_parity(i), i),
-        )
-        return frozenset(preference[: self.k])
+    def repairable_from(self, lost: int, helpers: Iterable[int]) -> bool:
+        """Whole-element repairability is the inner RS code's (any ``k``)."""
+        return self.inner.repairable_from(lost, helpers)
 
     def repair_candidates(
-        self, lost: int, have: frozenset[int] = frozenset()
+        self, lost: int, have: frozenset[int] = frozenset(), *, limit: int = 24
     ) -> list[dict[int, float]]:
-        """The piggyback sub-element schedule, then the conventional set.
+        """The piggyback sub-element schedule, then the generic candidates.
 
         For a lost data element the sub-element candidate reads half of
         every helper except the carrier-group peers (whose *a*-halves are
@@ -270,20 +247,19 @@ class PiggybackRSCode(ErasureCode):
         whole-element support is ``k + 1`` elements, solvable on its own
         (MDS), so the data plane's full-element fallback always works.
         """
-        candidates: list[dict[int, float]] = []
-        if self.is_data(lost):
-            t, members = self.carrier_group(lost)
-            reads: dict[int, float] = {}
-            for i in range(self.k):
-                if i == lost:
-                    continue
-                # b_i always; a_i too when i sits in the carrier group.
-                reads[i] = 1.0 if i in members else 0.5
-            reads[self.k] = 0.5        # q_0 = p_0(b), clean
-            reads[self.k + t] = 0.5    # q_t, the piggyback carrier
-            candidates.append(reads)
-        candidates.append({h: 1.0 for h in self.repair_plan(lost, have)})
-        return candidates
+        candidates = super().repair_candidates(lost, have, limit=limit)
+        if not self.is_data(lost):
+            return candidates
+        t, members = self.carrier_group(lost)
+        reads: dict[int, float] = {}
+        for i in range(self.k):
+            if i == lost:
+                continue
+            # b_i always; a_i too when i sits in the carrier group.
+            reads[i] = 1.0 if i in members else 0.5
+        reads[self.k] = 0.5        # q_0 = p_0(b), clean
+        reads[self.k + t] = 0.5    # q_t, the piggyback carrier
+        return [reads, *candidates][:limit]
 
 
 @lru_cache(maxsize=None)

@@ -33,9 +33,9 @@ class ReedSolomonCode(MatrixCode):
     Notes
     -----
     *Any* ``k`` of the ``n = k + m`` elements suffice to rebuild the row, so
-    :meth:`repair_plan` simply picks the ``k`` cheapest survivors.  The MDS
-    property is asserted at construction time for small parameters and
-    covered by property tests for the rest.
+    the generic :meth:`repair_plan` greedy stops at its first ``k`` picks.
+    The MDS property is asserted at construction time for small parameters
+    and covered by property tests for the rest.
     """
 
     name = "rs"
@@ -55,17 +55,6 @@ class ReedSolomonCode(MatrixCode):
         # Vandermonde-derived systematic RS is MDS by construction; skip the
         # exhaustive search the generic MatrixCode would run.
         return self.m
-
-    def repair_plan(self, lost: int, have: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Any ``k`` survivors repair any element of an MDS code."""
-        if not 0 <= lost < self.n:
-            raise ValueError(f"element index {lost} out of range for n={self.n}")
-        survivors = [i for i in range(self.n) if i != lost]
-        preference = sorted(
-            survivors,
-            key=lambda i: (i not in have, self.is_parity(i), i),
-        )
-        return frozenset(preference[: self.k])
 
 
 @lru_cache(maxsize=None)

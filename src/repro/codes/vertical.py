@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -111,17 +112,26 @@ class VerticalCode(MatrixCode):
                 break
         return best
 
-    def repair_plan(self, lost: int, have: frozenset[int] = frozenset()) -> frozenset[int]:
+    def repair_plan(
+        self,
+        lost: int,
+        have: frozenset[int] = frozenset(),
+        *,
+        cost: Callable[[int], float] | None = None,
+    ) -> frozenset[int]:
         """Single-loss repair via the code's XOR equations.
 
-        The generic MatrixCode search starts at ``k`` helpers — absurd for
-        array codes whose parity chains repair one element from a handful
-        of blocks.  Here we pick the equation containing ``lost`` that
+        The generic greedy starts at ``k`` helpers — absurd for array
+        codes whose parity chains repair one element from a handful of
+        blocks.  Here we pick the equation containing ``lost`` that
         maximises overlap with ``have`` (fewest extra reads), falling back
-        to the generic search only if no single equation applies.
+        to the generic search only if no single equation applies.  With
+        ``cost`` the generic cost-ordered greedy runs instead.
         """
         from ..recovery.single import recovery_equations
 
+        if cost is not None:
+            return super().repair_plan(lost, have, cost=cost)
         if not 0 <= lost < self.n:
             raise ValueError(f"element index {lost} out of range for n={self.n}")
         best: frozenset[int] | None = None

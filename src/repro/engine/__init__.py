@@ -14,7 +14,7 @@ from .concurrency import ThroughputResult, simulate_concurrent
 from .degraded import plan_degraded_read
 from .executor import ReadOutcome, execute_plan, simulate_plan
 from .multifailure import plan_degraded_read_multi
-from .optimizing import plan_degraded_read_optimized, repair_set_alternatives
+from .optimizing import plan_degraded_read_optimized
 from .pipeline import (
     AdmissionController,
     HedgeConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "simulate_plan",
     "execute_plan",
     "plan_degraded_read_optimized",
-    "repair_set_alternatives",
     "RebuildPlan",
     "plan_disk_rebuild",
     "rebuild_time_s",

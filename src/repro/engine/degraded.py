@@ -22,6 +22,7 @@ any topology (the benchmarks compare planners this way).
 from __future__ import annotations
 
 from ..layout.base import Address, Placement
+from ..net.planner import plan_min_transfer_repair, ship_bytes
 from .requests import AccessKind, AccessPlan, ElementAccess, ReadRequest
 
 __all__ = ["plan_degraded_read"]
@@ -88,8 +89,6 @@ def plan_degraded_read(
         if topology is None:
             reads = [(h, 1.0) for h in sorted(code.repair_plan(e, have))]
         else:
-            from ..net.planner import plan_min_transfer_repair
-
             transfer = plan_min_transfer_repair(
                 code,
                 e,
@@ -109,7 +108,7 @@ def plan_degraded_read(
                     f"repair plan for row {row} element {e} uses helper {h} "
                     f"on the failed disk"
                 )
-            plan.repair_reads.append((addr, _ship_bytes(fraction, element_size)))
+            plan.repair_reads.append((addr, ship_bytes(fraction, element_size)))
             if addr in planned:
                 continue
             plan.add(
@@ -119,9 +118,3 @@ def plan_degraded_read(
             )
             planned.add(addr)
     return plan
-
-
-def _ship_bytes(fraction: float, element_size: int) -> int:
-    from ..net.planner import ship_bytes
-
-    return ship_bytes(fraction, element_size)

@@ -8,11 +8,13 @@ bottleneck (max per-disk load), which is what actually gates read speed
 (§III).
 
 This planner minimizes the bottleneck instead: for each lost element it
-enumerates the code's *alternative* repair sets and picks helpers that
-keep the per-disk load histogram flat, at equal (or explicitly bounded)
-I/O count.  For MDS codes any ``k`` survivors work, so there is real
-freedom; for LRC the local set is unique but the planner may fall back
-to a global repair when the local one concentrates load.
+takes the supports of the code's
+:meth:`~repro.codes.base.ErasureCode.repair_candidates` and picks the
+helpers that keep the per-disk load histogram flat, at equal (or
+explicitly bounded) I/O count.  For MDS codes any ``k`` survivors work,
+so the single-helper swaps give real freedom; for LRC the local set is
+unique but the planner may fall back to the global set (other data plus
+a global parity) when the local one concentrates load.
 
 The paper's future-work reading: EC-FRM + load-aware repair selection.
 ``benchmarks/bench_optimizing_planner.py`` quantifies the gain.
@@ -23,48 +25,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from ..codes.base import ErasureCode
-from ..codes.lrc import LocalReconstructionCode
 from ..layout.base import Address, Placement
 from .requests import AccessKind, AccessPlan, ElementAccess, ReadRequest
 
-__all__ = ["repair_set_alternatives", "plan_degraded_read_optimized"]
-
-
-def repair_set_alternatives(
-    code: ErasureCode, lost: int, have: frozenset[int], *, limit: int = 24
-) -> list[frozenset[int]]:
-    """Candidate helper sets for rebuilding ``lost``, cheapest first.
-
-    Always contains the code's preferred plan.  For MDS matrix codes it
-    additionally enumerates swaps of the preferred set's non-``have``
-    members against unused survivors (each swap of one helper preserves
-    decodability for MDS codes: any ``k`` survivors work).  For LRC it
-    adds the global repair set as a fallback.
-    """
-    preferred = code.repair_plan(lost, have)
-    alternatives: list[frozenset[int]] = [preferred]
-
-    if isinstance(code, LocalReconstructionCode) and code.is_data(lost):
-        # unique minimal local set; the only alternative with bounded cost
-        # is an MDS-style global repair via the global parities.
-        global_set = frozenset(
-            j for j in range(code.k) if j != lost
-        ) | {code.global_parity_index(0)}
-        alternatives.append(frozenset(global_set))
-        return alternatives[:limit]
-
-    survivors = [i for i in range(code.n) if i != lost]
-    unused = [i for i in survivors if i not in preferred]
-    swappable = sorted(preferred - have)
-    for out in swappable:
-        for incoming in unused:
-            candidate = (preferred - {out}) | {incoming}
-            if candidate not in alternatives:
-                alternatives.append(candidate)
-            if len(alternatives) >= limit:
-                return alternatives
-    return alternatives
+__all__ = ["plan_degraded_read_optimized"]
 
 
 def plan_degraded_read_optimized(
@@ -116,11 +80,9 @@ def plan_degraded_read_optimized(
 
     for row, e in lost:
         have = frozenset(surviving_by_row.get(row, set()))
-        candidates = repair_set_alternatives(code, e, have)
+        candidates = [frozenset(c) for c in code.repair_candidates(e, have)]
         scored = list(
-            _scored_candidates(
-                code, e, candidates, placement, row, failed_disk, planned, loads
-            )
+            _scored_candidates(candidates, placement, row, failed_disk, planned, loads)
         )
         if not scored:
             raise ValueError(
@@ -146,8 +108,6 @@ def plan_degraded_read_optimized(
 
 
 def _scored_candidates(
-    code: ErasureCode,
-    lost: int,
     candidates: Iterable[frozenset[int]],
     placement: Placement,
     row: int,
@@ -155,10 +115,9 @@ def _scored_candidates(
     planned: set[Address],
     loads: Counter,
 ):
-    """Yield ``(score, helpers, new_fetches)`` for feasible candidates."""
+    """Yield ``(score, helpers, new_fetches)`` for candidates clear of the
+    failed disk."""
     for helpers in candidates:
-        if not code.repairable_from(lost, helpers):
-            continue
         new_fetches: list[tuple[int, Address]] = []
         ok = True
         for h in sorted(helpers):

@@ -8,6 +8,12 @@ longer.  Placement decides everything: the standard form concentrates
 helper reads on the dedicated data disks, while EC-FRM spreads them over
 all survivors — so EC-FRM speeds up recovery for the same reason it
 speeds up reads.
+
+Each lost element is repaired from the code's preferred
+:meth:`~repro.codes.base.ErasureCode.repair_plan` set, or, with
+``optimize=True``, from whichever of its smallest
+:meth:`~repro.codes.base.ErasureCode.repair_candidates` keeps the
+per-disk read histogram flattest.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 
 from ..disks.model import DiskModel
 from ..layout.base import Address, Placement
-from .optimizing import repair_set_alternatives
 
 __all__ = ["RebuildPlan", "plan_disk_rebuild", "rebuild_time_s"]
 
@@ -68,8 +73,8 @@ def plan_disk_rebuild(
     three forms) is repaired with the code's preferred repair set; reads
     shared between rows are deduplicated.
 
-    With ``optimize=True`` each row chooses among the code's alternative
-    repair sets (see :func:`repro.engine.optimizing.repair_set_alternatives`)
+    With ``optimize=True`` each row chooses among the smallest supports
+    of the code's :meth:`~repro.codes.base.ErasureCode.repair_candidates`
     to keep the cumulative per-disk read histogram flat — a load-aware
     rebuild in the spirit of the paper's bottleneck argument, at equal
     per-row I/O.
@@ -106,15 +111,11 @@ def plan_disk_rebuild(
             if not optimize:
                 commit(row, code.repair_plan(e))
                 continue
-            sufficient = [
-                helpers
-                for helpers in repair_set_alternatives(code, e, frozenset())
-                if code.repairable_from(e, helpers)
-            ]
-            min_size = min(len(helpers) for helpers in sufficient)
+            candidates = [frozenset(c) for c in code.repair_candidates(e)]
+            min_size = min(len(helpers) for helpers in candidates)
             best_helpers = None
             best_score = None
-            for helpers in sufficient:
+            for helpers in candidates:
                 if len(helpers) != min_size:
                     continue
                 trial = loads.copy()

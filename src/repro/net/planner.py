@@ -6,10 +6,10 @@ fetched is a helper byte shipped.  With a :class:`~repro.net.Topology`
 attached, two extra degrees of freedom open up:
 
 * **which** helper set to use: codes expose alternatives through
-  :meth:`ErasureCode.repair_candidates` (an LRC's local group vs a
-  global set; a piggybacked code's sub-element schedule vs plain RS) and
-  through cost-directed greedy assembly
-  (:meth:`MatrixCode.repair_plan_costed`);
+  :meth:`ErasureCode.repair_candidates` (an LRC's local group vs its
+  global set; a piggybacked code's sub-element schedule vs plain RS;
+  single-helper swaps of an MDS set) and through the cost-directed
+  greedy :meth:`ErasureCode.repair_plan` with ``cost=``;
 * **how much** of each helper to ship: sub-element repair reads whole
   slots off the platters (checksum verification stays intact) but ships
   only the needed fraction over the network.
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..codes.base import DecodeFailure, ErasureCode
+from ..codes.base import ErasureCode
 
 __all__ = [
     "TransferSummary",
@@ -148,9 +148,9 @@ def plan_min_transfer_repair(
 
     Candidates come from two sources: the code's own
     :meth:`~ErasureCode.repair_candidates` (structural alternatives,
-    possibly sub-element), and — for codes exposing
-    ``repair_plan_costed`` — a greedy whole-element set assembled with
-    cross-rack helpers priced above in-rack ones.  The winner minimizes
+    possibly sub-element), and :meth:`~ErasureCode.repair_plan` with a
+    ``cost`` pricing cross-rack helpers above in-rack ones (a greedy
+    whole-element set).  The winner minimizes
     ``(cross_rack_bytes, bytes_moved, len(reads))`` with the read tuple
     itself as the deterministic tiebreak.
 
@@ -166,45 +166,21 @@ def plan_min_transfer_repair(
     element_size:
         Element payload size in bytes.
     """
-    candidates: list[tuple[tuple[int, float], ...]] = []
-    seen: set[tuple[tuple[int, float], ...]] = set()
-    for cand in code.repair_candidates(lost, have):
-        reads = _normalize_candidate(cand)
-        if reads and reads not in seen:
-            seen.add(reads)
-            candidates.append(reads)
+    def rack_cost(element: int) -> float:
+        return 0.0 if element_rack(element) == site_rack else 1.0
 
-    costed = getattr(code, "repair_plan_costed", None)
-    if costed is not None:
-        def rack_cost(element: int) -> float:
-            return 0.0 if element_rack(element) == site_rack else 1.0
-
-        try:
-            helpers = costed(lost, rack_cost, have)
-        except DecodeFailure:
-            helpers = None
-        if helpers:
-            reads = tuple((int(h), 1.0) for h in sorted(helpers))
-            if reads not in seen:
-                seen.add(reads)
-                candidates.append(reads)
-
-    if not candidates:
-        raise DecodeFailure(f"element {lost} has no repair candidates")
-
-    best: RepairTransferPlan | None = None
-    best_key = None
-    for reads in candidates:
+    def key(reads: tuple[tuple[int, float], ...]):
         moved, cross = score_reads(reads, element_rack, site_rack, element_size)
-        key = (cross, moved, len(reads), reads)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = RepairTransferPlan(
-                lost=lost,
-                reads=reads,
-                bytes_moved=moved,
-                cross_rack_bytes=cross,
-                site_rack=site_rack,
-            )
-    assert best is not None
-    return best
+        return cross, moved, len(reads), reads
+
+    candidates = [_normalize_candidate(c) for c in code.repair_candidates(lost, have)]
+    costed = code.repair_plan(lost, have, cost=rack_cost)
+    candidates.append(tuple((h, 1.0) for h in sorted(costed)))
+    cross, moved, _, reads = key(min(candidates, key=key))
+    return RepairTransferPlan(
+        lost=lost,
+        reads=reads,
+        bytes_moved=moved,
+        cross_rack_bytes=cross,
+        site_rack=site_rack,
+    )

@@ -48,7 +48,7 @@ from ..engine.planner import plan_normal_read
 from ..engine.requests import AccessPlan, ReadRequest
 from ..layout import Placement, make_placement
 from ..layout.base import Address
-from ..net import Topology, TransferSummary, plan_min_transfer_repair
+from ..net import RepairTransferPlan, Topology, TransferSummary, plan_min_transfer_repair
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from .verify import crc32c
 
@@ -330,17 +330,7 @@ class BlockStore:
             try:
                 transfer = None
                 if self.topology is not None and len(lost) == 1:
-                    e = lost[0]
-                    site_disk = self.placement.locate_row_element(row, e).disk
-                    transfer = plan_min_transfer_repair(
-                        self.code,
-                        e,
-                        element_rack=lambda h: self.topology.rack_of(
-                            self.placement.locate_row_element(row, h).disk
-                        ),
-                        site_rack=self.topology.rack_of(site_disk),
-                        element_size=self.element_size,
-                    )
+                    transfer = self._min_transfer_repair(row, lost[0])
                     need = sorted(transfer.elements)
                 else:
                     need = [i for i in range(self.code.n) if i not in lost]
@@ -363,6 +353,21 @@ class BlockStore:
             except DiskFailedError:
                 continue
         raise DiskFailedError(f"row {row}: disks kept failing mid-fetch")
+
+    def _min_transfer_repair(self, row: int, lost: int) -> RepairTransferPlan:
+        """Minimum-transfer helper set for element ``lost`` of ``row``,
+        priced against the rack of the disk that holds it."""
+
+        def element_rack(h: int) -> int:
+            return self.topology.rack_of(self.placement.locate_row_element(row, h).disk)
+
+        return plan_min_transfer_repair(
+            self.code,
+            lost,
+            element_rack=element_rack,
+            site_rack=element_rack(lost),
+            element_size=self.element_size,
+        )
 
     # ------------------------------------------------------------------
     # logical <-> physical offset translation
@@ -542,15 +547,7 @@ class BlockStore:
             for e in lost:
                 transfer = None
                 if self.topology is not None:
-                    transfer = plan_min_transfer_repair(
-                        self.code,
-                        e,
-                        element_rack=lambda h, row=row: self.topology.rack_of(
-                            self.placement.locate_row_element(row, h).disk
-                        ),
-                        site_rack=self.topology.rack_of(disk_id),
-                        element_size=self.element_size,
-                    )
+                    transfer = self._min_transfer_repair(row, e)
                     helpers = sorted(transfer.elements)
                 else:
                     helpers = self.code.repair_plan(e)

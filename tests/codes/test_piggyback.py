@@ -86,11 +86,13 @@ class TestRepairCandidates:
         instead of k — the Hitchhiker saving the planner exploits."""
         code = make_pb_rs(6, 3)
         for j in range(code.k):
-            sub, conventional = code.repair_candidates(j)
+            sub, conventional, *swaps = code.repair_candidates(j)
             t, members = code.carrier_group(j)
             assert sum(sub.values()) == (code.k + len(members)) / 2
             assert sum(sub.values()) < code.k
             assert sum(conventional.values()) == code.k
+            assert conventional == {h: 1.0 for h in code.repair_plan(j)}
+            assert all(sum(c.values()) == code.k for c in swaps)
             # the carrier parity and the clean parity both ride along
             assert sub[code.k] == 0.5 and sub[code.k + t] == 0.5
 
@@ -110,7 +112,11 @@ class TestRepairCandidates:
         code = make_pb_rs(6, 3)
         for j in range(code.k, code.n):
             candidates = code.repair_candidates(j)
-            assert candidates == [{h: 1.0 for h in code.repair_plan(j)}]
+            assert candidates[0] == {h: 1.0 for h in code.repair_plan(j)}
+            # no sub-element schedule: every candidate is k whole elements
+            for candidate in candidates:
+                assert set(candidate.values()) == {1.0}
+                assert len(candidate) == code.k and j not in candidate
 
 
 class TestLemma1:

@@ -2,44 +2,78 @@
 
 import pytest
 
-from repro.codes import make_lrc, make_rs
+from repro.codes import make_lrc, make_pb_rs, make_rs
 from repro.engine import (
     ReadRequest,
     plan_degraded_read,
     plan_degraded_read_optimized,
-    repair_set_alternatives,
 )
 from repro.layout import FRMPlacement, StandardPlacement, make_placement
 
 
+def _supports(code, lost, have=frozenset(), **kwargs):
+    """Whole-element supports of ``code.repair_candidates``, in order."""
+    return [frozenset(c) for c in code.repair_candidates(lost, have, **kwargs)]
+
+
 class TestRepairSetAlternatives:
+    """The alternatives the bottleneck-aware planners choose among come
+    from :meth:`ErasureCode.repair_candidates`."""
+
     def test_contains_preferred(self):
         rs = make_rs(6, 3)
-        alts = repair_set_alternatives(rs, 0, frozenset())
+        alts = _supports(rs, 0)
         assert rs.repair_plan(0) in alts
 
     def test_mds_alternatives_all_sufficient(self):
         rs = make_rs(6, 3)
-        for helpers in repair_set_alternatives(rs, 2, frozenset({0, 1})):
+        for helpers in _supports(rs, 2, frozenset({0, 1})):
             assert rs.repairable_from(2, helpers)
             assert 2 not in helpers
 
     def test_limit_respected(self):
         rs = make_rs(10, 5)
-        assert len(repair_set_alternatives(rs, 0, frozenset(), limit=5)) == 5
+        assert len(_supports(rs, 0, limit=5)) == 5
 
     def test_lrc_offers_local_and_global(self):
         lrc = make_lrc(6, 2, 2)
-        alts = repair_set_alternatives(lrc, 0, frozenset())
+        alts = _supports(lrc, 0)
         assert lrc.repair_plan(0) == alts[0]
         assert len(alts) == 2
         # the global alternative rebuilds from all other data + a global
         assert lrc.global_parity_index(0) in alts[1]
+        assert alts[1] == frozenset({1, 2, 3, 4, 5, lrc.global_parity_index(0)})
 
     def test_lrc_parity_repair_alternatives(self):
         lrc = make_lrc(6, 2, 2)
-        alts = repair_set_alternatives(lrc, lrc.local_parity_index(0), frozenset())
+        alts = _supports(lrc, lrc.local_parity_index(0))
         assert alts[0] == frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("limit", [1, 2, 24])
+    @pytest.mark.parametrize(
+        "code",
+        [make_rs(6, 3), make_lrc(6, 2, 2), make_pb_rs(6, 3)],
+        ids=lambda c: c.describe(),
+    )
+    def test_limit_caps_every_code(self, code, limit):
+        for lost in range(code.n):
+            for have in (frozenset(), frozenset(range(code.k)) - {lost}):
+                capped = code.repair_candidates(lost, have, limit=limit)
+                full = code.repair_candidates(lost, have, limit=10_000)
+                assert 1 <= len(capped) <= limit
+                # the cap truncates the enumeration, never reorders it
+                assert capped == full[:limit]
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    @pytest.mark.parametrize(
+        "code",
+        [make_rs(6, 3), make_lrc(6, 2, 2), make_pb_rs(6, 3)],
+        ids=lambda c: c.describe(),
+    )
+    def test_limit_below_one_raises(self, code, limit):
+        for lost in (0, code.n - 1):
+            with pytest.raises(ValueError, match="limit"):
+                code.repair_candidates(lost, limit=limit)
 
 
 class TestOptimizedPlanner:

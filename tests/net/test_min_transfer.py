@@ -12,7 +12,11 @@ by ``ECFRM_NET_SEED``:
   in particular it never ships more total bytes unless that strictly
   reduces cross-rack bytes, and on a flat topology (where cross-rack is
   identically zero) total bytes moved is always ≤ conventional;
-* the plan is deterministic for a fixed topology.
+* the plan is deterministic for a fixed topology;
+* every candidate :meth:`ErasureCode.repair_candidates` offers the
+  planner decodes the lost element byte-exactly from its whole-element
+  support, never contains the lost element, and the enumeration returns
+  at most ``limit`` candidates.
 """
 
 import os
@@ -52,6 +56,7 @@ def _encode_row(code, rng: np.random.Generator) -> np.ndarray:
 def test_min_transfer_repair_properties(spec):
     code = parse_code_spec(spec)
     rng = np.random.default_rng([SEED, SPECS.index(spec)])
+    limit_rng = np.random.default_rng([SEED, SPECS.index(spec), 1])
     row = _encode_row(code, rng)
 
     for trial in range(3):
@@ -108,6 +113,19 @@ def test_min_transfer_repair_properties(spec):
             )
             assert again == plan
 
+            # every offered candidate repairs on its own, within the limit
+            limit = int(limit_rng.integers(1, 25))
+            candidates = code.repair_candidates(lost, limit=limit)
+            assert 1 <= len(candidates) <= limit
+            for candidate in candidates:
+                assert lost not in candidate
+                out = code.decode({h: row[h] for h in candidate}, [lost], ELEMENT_SIZE)
+                got = np.asarray(out[lost], dtype=np.uint8).reshape(-1)
+                assert got.tobytes() == row[lost].tobytes(), (
+                    f"{spec}: candidate {sorted(candidate)} for element {lost} "
+                    "does not decode it"
+                )
+
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_flat_topology_never_ships_more_than_conventional(spec):
@@ -146,6 +164,26 @@ def test_lrc_local_repair_stays_in_rack():
         )
         assert plan.cross_rack_bytes == 0
         assert len(plan.reads) == 3  # the local group minus the lost element
+
+
+def test_lrc_global_set_beats_costed_greedy():
+    """The LRC's global set (other data plus global parity 0) wins when the
+    local group sits off-rack and the cost-ordered greedy, led by in-rack
+    survivors that include a local parity, needs seven helpers."""
+    code = parse_code_spec("lrc-6-2-2")
+    # data 3,4,5, local parity 7 and global parity 8 share the repair
+    # site's rack 0; data 1,2, local parity 6 and global parity 9 do not.
+    topo = Topology([0, 1, 1, 0, 0, 0, 1, 0, 0, 1])
+    plan = plan_min_transfer_repair(
+        code,
+        0,
+        element_rack=topo.rack_of,
+        site_rack=0,
+        element_size=ELEMENT_SIZE,
+    )
+    assert plan.elements == {1, 2, 3, 4, 5, code.global_parity_index(0)}
+    assert plan.cross_rack_bytes == 2 * ELEMENT_SIZE
+    assert plan.bytes_moved == code.k * ELEMENT_SIZE
 
 
 def test_piggyback_candidate_wins_on_flat_topology():
